@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
+.PHONY: all ignored-go build test vet staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# Fails when .gitignore hides a Go source file: such a file builds here
+# but is never committed, so a clean checkout would not build.
+ignored-go:
+	@ignored=$$(git ls-files --others --ignored --exclude-standard -- '*.go'); \
+	if [ -n "$$ignored" ]; then \
+		echo "Go sources hidden by .gitignore:"; echo "$$ignored"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +73,6 @@ bench:
 bench-compare:
 	scripts/bench-compare.sh
 
-# The gate CI runs: build + vet + staticcheck + govulncheck +
-# race-enabled tests + chaos suite + fuzz smoke.
-verify: build vet staticcheck govulncheck race chaos fuzz-smoke
+# The gate CI runs: ignored-source check + build + vet + staticcheck +
+# govulncheck + race-enabled tests + chaos suite + fuzz smoke.
+verify: ignored-go build vet staticcheck govulncheck race chaos fuzz-smoke

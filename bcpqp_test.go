@@ -137,16 +137,21 @@ func TestCascadeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := NewCascade(sub, link)
+	// A two-level cascade is a chain tree: the link at the root, the
+	// subscriber's own limit at the leaf.
+	casc, err := NewPolicyTree([]PolicyTreeNode{
+		{Parent: -1, Stage: CascadeStage(link)},
+		{Parent: 0, Stage: CascadeStage(sub)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Millisecond
 	pkt := Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS, Class: 0}
-	if casc.Submit(now, pkt) != Transmit {
+	if casc.SubmitAt(now, casc.Leaves()[0], pkt) != Transmit {
 		t.Error("first packet through a fresh cascade dropped")
 	}
-	if _, err := NewCascade(); err == nil {
+	if _, err := NewPolicyTree(nil); err == nil {
 		t.Error("empty cascade accepted")
 	}
 }
@@ -166,7 +171,7 @@ func TestMiddleboxFacade(t *testing.T) {
 	if h == NoAggregate {
 		t.Fatal("Add returned no handle")
 	}
-	// Single-packet handle path, burst path, and the string compat shim.
+	// Single-packet handle path, burst path, and a handle resolved by id.
 	for i := 0; i < 4; i++ {
 		if err := eng.Submit(h, Packet{
 			Key: FlowKey{SrcIP: 1, SrcPort: uint16(i), Proto: 6}, Size: MSS, Class: i % 4,
@@ -181,8 +186,12 @@ func TestMiddleboxFacade(t *testing.T) {
 	if err := eng.SubmitBatch(h, burst); err != nil {
 		t.Fatal(err)
 	}
+	looked, err := eng.Lookup("sub-1")
+	if err != nil || looked != h {
+		t.Fatalf("Lookup = %v, %v; want %v", looked, err, h)
+	}
 	for i := 8; i < 10; i++ {
-		if err := eng.SubmitID("sub-1", Packet{
+		if err := eng.Submit(looked, Packet{
 			Key: FlowKey{SrcIP: 1, SrcPort: uint16(i), Proto: 6}, Size: MSS, Class: i % 4,
 		}); err != nil {
 			t.Fatal(err)

@@ -237,31 +237,6 @@ func BenchmarkMiddleboxSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkMiddleboxSubmitID measures the deprecated string-keyed
-// compatibility shim: the per-packet map lookup the handle API removes.
-func BenchmarkMiddleboxSubmitID(b *testing.B) {
-	const aggs = 256
-	eng, _ := benchEngine(b, aggs)
-	defer eng.Close()
-	ids := make([]string, aggs)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("agg-%d", i)
-	}
-	pkt := Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			pkt.Class = i & 15
-			eng.SubmitID(ids[i%aggs], pkt)
-			i++
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-}
-
 // BenchmarkMiddleboxSubmitBatch measures the burst ingress path: one
 // SubmitBatch of DefaultBurst packets per engine call, the rx_burst shape
 // of a DPDK middlebox. One benchmark iteration is one PACKET (bursts are

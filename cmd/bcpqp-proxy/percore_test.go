@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -13,10 +17,15 @@ import (
 )
 
 // runPerCore drives the percore datapath end to end over loopback: N
-// senders overdrive a 5 Mbps bound, the sink counts what gets through, and
-// SIGTERM must drain cleanly (exit 0).
+// senders overdrive a 5 Mbps bound, the sink counts what gets through,
+// /metrics carries one bcpqp_core_* sample per core, and SIGTERM must
+// drain cleanly (exit 0).
 func runPerCore(t *testing.T, cores int, forceSingle bool) {
 	t.Helper()
+	admin, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("admin: %v", err)
+	}
 	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("sink: %v", err)
@@ -47,6 +56,7 @@ func runPerCore(t *testing.T, cores int, forceSingle bool) {
 			queues:       16,
 			drainTimeout: 3 * time.Second,
 			sig:          sig,
+			admin:        admin,
 			forceSingle:  forceSingle,
 			ready:        ready,
 		})
@@ -87,6 +97,7 @@ func runPerCore(t *testing.T, cores int, forceSingle bool) {
 	}
 	wg.Wait()
 	time.Sleep(300 * time.Millisecond) // let in-flight bursts settle
+	checkCoreMetrics(t, "http://"+admin.Addr().String()+"/metrics", cores)
 
 	sig <- syscall.SIGTERM
 	select {
@@ -106,6 +117,54 @@ func runPerCore(t *testing.T, cores int, forceSingle bool) {
 		t.Fatalf("sink received %d of %d offered bytes — enforcement did not bite", got, offered)
 	}
 	t.Logf("cores=%d forceSingle=%v: offered %d bytes, delivered %d", cores, forceSingle, offered, got)
+}
+
+// checkCoreMetrics scrapes url and asserts every bcpqp_core_* family
+// carries exactly one sample per core (the kernel-drop family may be
+// absent where the platform cannot read it) and that the cores received
+// traffic.
+func checkCoreMetrics(t *testing.T, url string, cores int) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, %v", resp.StatusCode, err)
+	}
+	samples := map[string]int{}
+	var recvPkts float64
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "bcpqp_core_") {
+			continue
+		}
+		name := line[:strings.IndexByte(line, '{')]
+		samples[name]++
+		if name == "bcpqp_core_recv_packets_total" {
+			var v float64
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+				t.Fatalf("bad sample %q: %v", line, err)
+			}
+			recvPkts += v
+		}
+	}
+	for _, d := range coreFamilyDefs {
+		n, ok := samples[d.name]
+		if !ok && d.name == "bcpqp_core_kernel_drops_total" {
+			continue
+		}
+		if n != cores {
+			t.Errorf("%s: %d samples, want one per core (%d)", d.name, n, cores)
+		}
+	}
+	if len(samples) > len(coreFamilyDefs) {
+		t.Errorf("unexpected bcpqp_core_* families: %v", samples)
+	}
+	if recvPkts == 0 {
+		t.Errorf("bcpqp_core_recv_packets_total sums to 0 after traffic")
+	}
 }
 
 func TestServePerCoreEndToEnd(t *testing.T) {

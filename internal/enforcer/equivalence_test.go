@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/fairpolicer"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
+	"bcpqp/internal/ptree"
 	"bcpqp/internal/rng"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
@@ -76,6 +76,7 @@ func equivalenceSchemes() []eqScheme {
 				},
 			})
 		}},
+		// Stacked limits: a BC-PQP subscriber leaf under a TBF link root.
 		{"cascade", func() enforcer.Enforcer {
 			sub := phantom.MustNew(phantom.Config{
 				Rate:         eqRate / 2,
@@ -84,7 +85,10 @@ func equivalenceSchemes() []eqScheme {
 				BurstControl: true,
 			})
 			link := tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))
-			return cascade.MustNew(sub, link)
+			return ptree.MustNew([]ptree.NodeSpec{
+				{Parent: -1, Stage: link},
+				{Parent: 0, Stage: sub},
+			})
 		}},
 	}
 }

@@ -367,7 +367,7 @@ type aggregate struct {
 	shard *shard
 
 	// tree is set when the enforcer is node-addressable
-	// (enforcer.TreeEnforcer): a policy tree or a cascade chain. It opens
+	// (enforcer.TreeEnforcer), such as a policy tree. It opens
 	// the aggregate's per-tree handle namespace — leaf handles resolve to
 	// (aggregate, node), node-addressed bursts enter the tree at their
 	// node, and the per-node control plane (UpdateNode, NodeStats) routes
@@ -1037,7 +1037,7 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	}
 	agg := &aggregate{id: id, h: h, enf: enf, emit: emit, shard: owner}
 	if tree, ok := enf.(enforcer.TreeEnforcer); ok {
-		// Node-addressable enforcer (policy tree, cascade chain): open its
+		// Node-addressable enforcer (a policy tree): open its
 		// per-tree handle namespace. Whole-aggregate submission through h
 		// is unchanged; Leaf(h, node) mints node-addressed handles.
 		agg.tree = tree
@@ -1048,7 +1048,7 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	}
 	agg.lastActive.Store(time.Now().UnixNano())
 	if e.cfg.Observer != nil {
-		agg.obs = e.cfg.Observer.NewAggObs()
+		agg.obs = new(obs.AggObs)
 	}
 	slots := make([]*aggregate, len(e.slotGen))
 	copy(slots, t.slots)
@@ -1255,25 +1255,6 @@ func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	e.enqueue(s, b)
 	s.mu.Unlock()
 	return nil
-}
-
-// SubmitID is the string-keyed compatibility shim for callers that have
-// not resolved a handle: one map lookup against the same lock-free
-// registry snapshot, then the Submit path.
-//
-// Deprecated: resolve a Handle once at Add/Lookup time and use Submit or
-// SubmitBatch; per-packet string lookups are exactly the overhead the
-// burst datapath removes.
-func (e *Engine) SubmitID(id string, pkt packet.Packet) error {
-	t := e.table.Load()
-	if t.closed {
-		return fmt.Errorf("mbox: engine closed")
-	}
-	h, ok := t.byID[id]
-	if !ok {
-		return fmt.Errorf("mbox: unknown aggregate %q", id)
-	}
-	return e.Submit(h, pkt)
 }
 
 // Stats reads an aggregate's enforcement statistics. The read executes on

@@ -411,37 +411,14 @@ func TestCloseIdempotentAndRejects(t *testing.T) {
 	if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err == nil {
 		t.Error("batch submit after close accepted")
 	}
-	if err := e.SubmitID("x", pkt(0)); err == nil {
-		t.Error("submit by id after close accepted")
+	if h, err := e.Lookup("x"); err == nil && e.Submit(h, pkt(0)) == nil {
+		t.Error("submit through a looked-up handle after close accepted")
 	}
 	if _, err := e.Stats("x"); err == nil {
 		t.Error("stats after close accepted")
 	}
 	if _, err := e.Add("y", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err == nil {
 		t.Error("add after close accepted")
-	}
-}
-
-func TestSubmitIDCompatibilityShim(t *testing.T) {
-	e := New(Config{Shards: 1})
-	defer e.Close()
-	if _, err := e.Add("x", tbf.MustNew(8*units.Mbps, 4*units.MSS), nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := e.SubmitID("x", pkt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.SubmitID("nope", pkt(0)); err == nil {
-		t.Error("submit to unknown id accepted")
-	}
-	st, err := e.Stats("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.Totals(); p != 5 {
-		t.Errorf("stats saw %d packets, want 5", p)
 	}
 }
 

@@ -183,19 +183,12 @@ func (e *Engine) Metrics() obs.Snapshot {
 	if c := e.cfg.Observer; c != nil {
 		counter("bcpqp_trace_events_total", "flight-recorder events recorded (including overwritten)", float64(c.EventsRecorded()))
 		counter("bcpqp_bursts_enforced_total", "enforced bursts observed across all shards", float64(c.Bursts()))
-		h := c.BurstHist()
+		h := c.BurstLatencyDigest().Hist(1e-9)
 		fams = append(fams, obs.Family{
 			Name:    "bcpqp_burst_enforce_seconds",
 			Help:    "per-burst enforcement latency on the shard goroutines",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
-		})
-		ld := c.BurstLatencyDigest().Hist(1e-9)
-		fams = append(fams, obs.Family{
-			Name:    "bcpqp_burst_enforce_latency_digest_seconds",
-			Help:    "per-burst enforcement latency as a mergeable relative-error quantile digest",
-			Type:    "histogram",
-			Samples: []obs.Sample{{Hist: &ld}},
 		})
 	}
 

@@ -90,8 +90,8 @@ func TestObserveVerdictTally(t *testing.T) {
 	if burst.A != int64(acc) || burst.B != int64(drp) {
 		t.Errorf("burst event tally A=%d B=%d, want %g/%g", burst.A, burst.B, acc, drp)
 	}
-	if hs := c.BurstHist(); hs.Count == 0 {
-		t.Error("burst latency histogram is empty after an enforced burst")
+	if n := c.BurstLatencyDigest().Total(); n == 0 {
+		t.Error("burst latency digest is empty after an enforced burst")
 	}
 }
 
@@ -203,6 +203,10 @@ func TestMetricsPrometheusExport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// Burst latency is exported once, from the per-shard digests.
+	if n := strings.Count(out, "# TYPE bcpqp_burst_enforce"); n != 1 {
+		t.Errorf("%d burst-latency families, want exactly bcpqp_burst_enforce_seconds", n)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // Per-tree handle namespaces.
 //
-// A tree aggregate (one whose enforcer implements enforcer.TreeEnforcer —
-// a ptree policy tree or a cascade chain) hosts a namespace of node
+// A tree aggregate (one whose enforcer implements enforcer.TreeEnforcer,
+// such as a ptree policy tree) hosts a namespace of node
 // addresses under its one registry slot: a LeafHandle is (aggregate
 // handle, node), minted by Leaf and carried on the datapath next to the
 // packets. The registry itself stays flat — one slot, one generation tag,
@@ -26,7 +26,7 @@ import (
 // A flat single-enforcer aggregate participates as the degenerate one-node
 // tree: node 0 addresses the enforcer itself, so node-addressed control
 // (NodeStats, SetNodeRate) and Leaf(h, 0) work uniformly over flat
-// aggregates, chains and trees.
+// aggregates and trees.
 
 // LeafHandle addresses one node of an aggregate on the datapath: packets
 // submitted through it enter the aggregate's policy tree at that node
@@ -50,7 +50,7 @@ func (lh LeafHandle) Node() enforcer.NodeID { return lh.node }
 // AddTree registers a node-addressable enforcer tree for aggregate id.
 // The tree must also implement enforcer.Enforcer (whole-aggregate
 // submission through the plain handle routes packets to leaves by class;
-// *ptree.Tree and *cascade.Cascade both do), which keeps every existing
+// *ptree.Tree does), which keeps every existing
 // engine surface — Submit, Stats, Update, snapshots, eviction — working
 // unchanged on tree aggregates. Node addressing is layered on top: mint
 // per-node handles with Leaf, submit with SubmitLeaf/SubmitLeafBatch,

@@ -8,84 +8,61 @@ import (
 	"bcpqp/internal/units"
 )
 
-// RateMeter adapts internal/metrics.Meter — the paper's §6.1 windowed
-// throughput meter — to a long-running monotonic clock. metrics.Meter
-// indexes windows from virtual time zero and grows its window slice
-// forever; RateMeter rebases onto a fresh Meter every `horizon` windows so
-// memory stays bounded over an unbounded run, at the cost of forgetting
-// history older than the horizon (which is exactly what a runtime gauge
-// wants).
+// meterWindow is the RateMeter granularity: the paper's §6.1 measurement
+// window.
+const meterWindow = metrics.DefaultWindow
+
+// RateMeter is a windowed throughput meter over a long-running monotonic
+// clock. It keeps two slots — the current window's bytes and the previous
+// window's — so its memory and per-Add cost are constant however long it
+// runs, and history older than one window is forgotten (which is exactly
+// what a runtime gauge wants).
 //
 // It is safe for one writer and any number of readers; the expected shape
-// is one Add per enforced burst on a shard goroutine and occasional reads
-// from the metrics exporter.
+// is one Add per enforced run on a shard goroutine and occasional reads
+// from the metrics exporter. The zero value is ready to use.
 type RateMeter struct {
-	mu      sync.Mutex
-	window  time.Duration
-	horizon int
-	base    time.Duration // virtual-time origin of the current meter
-	last    time.Duration // most recent Add time (absolute)
-	m       *metrics.Meter
-	total   int64
+	mu    sync.Mutex
+	begun bool  // the first Add has fixed win
+	full  bool  // window win-1 lies within the meter's life
+	win   int64 // index of the current window
+	cur   int64 // bytes in window win
+	prev  int64 // bytes in window win-1
+	total int64
 }
 
-// NewRateMeter returns a meter with the given window (0 selects the
-// paper's 250 ms default) keeping at most horizon windows of history
-// (0 selects 64).
-func NewRateMeter(window time.Duration, horizon int) *RateMeter {
-	if window <= 0 {
-		window = metrics.DefaultWindow
-	}
-	if horizon <= 0 {
-		horizon = 64
-	}
-	return &RateMeter{window: window, horizon: horizon}
-}
-
-// Window returns the meter's window size.
-func (r *RateMeter) Window() time.Duration { return r.window }
-
-// Add records bytes at monotonic time now. Regressions clamp to the last
-// observed time (the underlying meter requires non-decreasing time).
+// Add records bytes at monotonic time now. A time regression counts toward
+// the current window.
 func (r *RateMeter) Add(now time.Duration, bytes int) {
+	w := int64(now / meterWindow)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if now < r.last {
-		now = r.last
+	switch {
+	case !r.begun:
+		r.begun, r.win = true, w
+	case w == r.win+1:
+		r.full, r.win, r.prev, r.cur = true, w, r.cur, 0
+	case w > r.win+1:
+		r.full, r.win, r.prev, r.cur = true, w, 0, 0
 	}
-	if r.m == nil || now-r.base >= time.Duration(r.horizon)*r.window {
-		// Rebase: drop history beyond the horizon and realign the
-		// origin to a window boundary so window edges stay stable.
-		r.base = now - now%r.window
-		r.m = metrics.NewMeter(r.window)
-	}
-	r.m.Add(now-r.base, 0, bytes)
-	r.last = now
+	r.cur += int64(bytes)
 	r.total += int64(bytes)
 }
 
 // Rate returns the throughput over the most recent completed window, or
-// over the current partial window when it is the only one. An unused meter
-// reports zero (never NaN).
+// over the current partial window when it is the meter's first. An unused
+// meter reports zero (never NaN).
 func (r *RateMeter) Rate() units.Rate {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		return 0
+	b := r.cur
+	if r.full {
+		b = r.prev
 	}
-	wb := r.m.WindowBytes(0)
-	cur := int((r.last - r.base) / r.window)
-	idx := cur - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(wb) {
-		idx = len(wb) - 1
-	}
-	return units.Rate(float64(wb[idx]) * 8 / r.window.Seconds())
+	r.mu.Unlock()
+	return units.Rate(float64(b) * 8 / meterWindow.Seconds())
 }
 
-// Total returns all bytes ever recorded (across rebases).
+// Total returns all bytes ever recorded.
 func (r *RateMeter) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,9 +1,8 @@
 // Package obs is the runtime observability layer of the middlebox
 // datapath: a flight recorder (fixed-size, lock-free per-shard rings of
 // trace events), a metrics plane (per-aggregate and per-shard counters,
-// windowed-rate meters reusing internal/metrics, and log-linear latency
-// histograms), and exporters for the Prometheus text exposition format and
-// expvar.
+// two-slot windowed-rate meters, and mergeable latency digests), and
+// exporters for the Prometheus text exposition format and expvar.
 //
 // The design constraint is zero allocation and near-zero cost on the hot
 // path: events are fixed-size structs written into pre-allocated rings with

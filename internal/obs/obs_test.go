@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -103,13 +102,21 @@ func TestSampleBurst(t *testing.T) {
 	}
 }
 
-func TestHistBuckets(t *testing.T) {
-	h := NewHist()
-	values := []int64{0, 1, 100, 128, 129, 1000, 1 << 20, 1 << 33, 1 << 40}
-	for _, v := range values {
-		h.Observe(v)
+// digestHist observes vals (nanoseconds) into a fresh digest and returns
+// its Prometheus export in seconds, the form /metrics serves.
+func digestHist(vals ...int64) HistSnapshot {
+	d := NewDigest()
+	for _, v := range vals {
+		d.Observe(v)
 	}
-	s := h.Snapshot()
+	return d.Snapshot().Hist(1e-9)
+}
+
+// TestHistBuckets pins the exported histogram built from a digest: count,
+// sum, bucket totals, and every value inside its own bucket's bounds.
+func TestHistBuckets(t *testing.T) {
+	values := []int64{0, 1, 100, 128, 129, 1000, 1 << 20, 1 << 33, 1 << 40}
+	s := digestHist(values...)
 	if s.Count != uint64(len(values)) {
 		t.Fatalf("Count = %d, want %d", s.Count, len(values))
 	}
@@ -127,18 +134,17 @@ func TestHistBuckets(t *testing.T) {
 	if total != s.Count {
 		t.Errorf("bucket counts sum to %d, want %d", total, s.Count)
 	}
-	// The overflow bucket holds exactly the 2^40 observation.
-	if s.Counts[len(s.Counts)-1] != 1 {
-		t.Errorf("overflow bucket = %d, want 1", s.Counts[len(s.Counts)-1])
+	// The digest covers all of int64: nothing overflows to +Inf.
+	if s.Counts[len(s.Counts)-1] != 0 {
+		t.Errorf("overflow bucket = %d, want 0", s.Counts[len(s.Counts)-1])
 	}
 	// Every value must land in a bucket whose bound covers it.
-	for _, v := range values[:len(values)-1] {
-		idx := histIdx(v)
-		if idx >= len(s.Bounds) {
-			t.Errorf("value %d overflowed (bit length %d)", v, bits.Len64(uint64(v)))
-			continue
+	for _, v := range values {
+		idx := digestIdx(v)
+		if s.Counts[idx] == 0 {
+			t.Errorf("value %d: its bucket %d is empty", v, idx)
 		}
-		if float64(v)/1e9 > s.Bounds[idx] {
+		if float64(v)/1e9 > s.Bounds[idx]*(1+1e-12) {
 			t.Errorf("value %d above its bucket bound %g", v, s.Bounds[idx])
 		}
 		if idx > 0 && float64(v)/1e9 <= s.Bounds[idx-1] {
@@ -147,66 +153,91 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
+// TestHistBoundsMonotone: scaling to seconds keeps the exported bounds
+// strictly increasing, as Prometheus le labels require.
 func TestHistBoundsMonotone(t *testing.T) {
-	prev := int64(0)
-	for i, b := range histBounds {
+	s := digestHist()
+	prev := -1.0
+	for i, b := range s.Bounds {
 		if b <= prev {
-			t.Fatalf("bound %d = %d not increasing past %d", i, b, prev)
+			t.Fatalf("bound %d = %g not increasing past %g", i, b, prev)
 		}
 		prev = b
 	}
 }
 
 func TestHistQuantile(t *testing.T) {
-	h := NewHist()
-	if q := h.Snapshot().Quantile(0.5); q != 0 {
+	if q := digestHist().Quantile(0.5); q != 0 {
 		t.Errorf("empty hist quantile = %g, want 0", q)
 	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(1000) // 1 µs
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = 1000 // 1 µs
 	}
-	s := h.Snapshot()
-	if q := s.Quantile(0.5); q < 0.9e-6 || q > 1.2e-6 {
+	if q := digestHist(vals...).Quantile(0.5); q < 0.9e-6 || q > 1.2e-6 {
 		t.Errorf("p50 of 1µs = %g s", q)
 	}
 }
 
 func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100*time.Millisecond, 8)
+	var m RateMeter
 	if r := m.Rate(); r != 0 {
 		t.Errorf("empty meter Rate = %v, want 0", r)
 	}
-	// 12500 bytes into the first window = 1 Mbps at 100 ms windows.
-	m.Add(10*time.Millisecond, 12500)
-	m.Add(150*time.Millisecond, 1) // advance into window 1
+	// 31250 bytes into the first 250 ms window = 1 Mbps.
+	m.Add(10*time.Millisecond, 31250)
+	if r := float64(m.Rate()); r < 0.99e6 || r > 1.01e6 {
+		t.Errorf("first-window Rate = %g bps, want the partial window's ≈1e6", r)
+	}
+	m.Add(300*time.Millisecond, 1) // advance into window 1
 	if r := float64(m.Rate()); r < 0.99e6 || r > 1.01e6 {
 		t.Errorf("Rate = %g bps, want ≈1e6", r)
 	}
-	if m.Total() != 12501 {
+	if m.Total() != 31251 {
 		t.Errorf("Total = %d", m.Total())
 	}
 }
 
-func TestRateMeterRebaseBoundsMemory(t *testing.T) {
-	m := NewRateMeter(time.Millisecond, 4)
-	// Walk far past the horizon; the meter must keep working (and keep
-	// only the rebased history).
-	for i := 0; i < 10_000; i++ {
-		m.Add(time.Duration(i)*time.Millisecond, 125)
+// TestRateMeterIdleGapAndLongRun: an idle gap of two or more windows reads
+// as zero, a steady rate reads true over 10k windows, and a time
+// regression counts toward the current window.
+func TestRateMeterIdleGapAndLongRun(t *testing.T) {
+	var m RateMeter
+	m.Add(0, 31250)
+	m.Add(meterWindow, 31250)
+	m.Add(3*meterWindow, 1) // window 2 idle
+	if r := m.Rate(); r != 0 {
+		t.Errorf("Rate after an idle window = %v, want 0", r)
 	}
-	if r := float64(m.Rate()); r < 0.9e6 || r > 1.1e6 {
-		t.Errorf("steady 1 Mbps reads %g bps after rebases", r)
+	m.Add(3*meterWindow+meterWindow/2, 31249)
+	m.Add(9*meterWindow, 1) // windows 4..8 idle
+	if r := m.Rate(); r != 0 {
+		t.Errorf("Rate after five idle windows = %v, want 0", r)
 	}
-	if m.Total() != 10_000*125 {
-		t.Errorf("Total = %d", m.Total())
+
+	var s RateMeter
+	// 1 Mbps in four Adds per window, for 10k windows.
+	const per = 31250 / 4
+	for i := 0; i < 40_000; i++ {
+		s.Add(time.Duration(i)*meterWindow/4, per)
 	}
-	// Time regression clamps instead of panicking.
-	m.Add(0, 10)
+	if r := float64(s.Rate()); r < 0.99e6 || r > 1.01e6 {
+		t.Errorf("steady 1 Mbps reads %g bps after 10k windows", r)
+	}
+	if s.Total() != 40_000*per {
+		t.Errorf("Total = %d", s.Total())
+	}
+	s.Add(0, 10) // regression: lands in the current window
+	if s.Total() != 40_000*per+10 {
+		t.Errorf("Total after regression = %d", s.Total())
+	}
+	if r := float64(s.Rate()); r < 0.99e6 || r > 1.01e6 {
+		t.Errorf("regression disturbed the completed window: %g bps", r)
+	}
 }
 
 func TestAggObsCount(t *testing.T) {
-	c := NewCollector(Options{})
-	a := c.NewAggObs()
+	a := new(AggObs)
 	a.Count(10, 15000, 2, 3000, 50*time.Millisecond)
 	a.Count(5, 7500, 0, 0, 60*time.Millisecond)
 	s := a.Snapshot()
@@ -224,8 +255,8 @@ func TestCollectorBurstHistMerge(t *testing.T) {
 	if got := c.Bursts(); got != 3 {
 		t.Errorf("Bursts = %d", got)
 	}
-	if s := c.BurstHist(); s.Count != 3 {
-		t.Errorf("merged hist Count = %d", s.Count)
+	if n := c.BurstLatencyDigest().Total(); n != 3 {
+		t.Errorf("merged digest Total = %d", n)
 	}
 }
 

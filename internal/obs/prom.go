@@ -37,6 +37,43 @@ type Sample struct {
 	Hist   *HistSnapshot
 }
 
+// HistSnapshot is a histogram in Prometheus export form, built from a
+// digest by DigestSnapshot.Hist. Counts are per-bucket (not cumulative);
+// Counts[len(Bounds)] is the overflow (+Inf) bucket. Bounds are inclusive
+// upper bounds in the exported unit.
+type HistSnapshot struct {
+	Bounds []float64
+	Counts []uint64
+	Sum    float64 // exported unit
+	Count  uint64
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in the exported unit from
+// bucket upper bounds; it returns 0 for an empty histogram.
+func (s HistSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := uint64(q * float64(s.Count))
+	var cum uint64
+	for i, n := range s.Counts {
+		cum += n
+		if cum > target {
+			if i < len(s.Bounds) {
+				return s.Bounds[i]
+			}
+			return s.Bounds[len(s.Bounds)-1] // overflow: report the last bound
+		}
+	}
+	return s.Bounds[len(s.Bounds)-1]
+}
+
 // WritePrometheus serializes a snapshot in the Prometheus text exposition
 // format (version 0.0.4). Metric and label names are sanitized to the
 // legal character set, label values are escaped, and non-finite values

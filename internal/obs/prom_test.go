@@ -90,10 +90,7 @@ func checkLabelBlock(t *testing.T, line, block string) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	h := NewHist()
-	h.Observe(1000)
-	h.Observe(2000)
-	hs := h.Snapshot()
+	hs := digestHist(1000, 2000)
 	snap := Snapshot{Families: []Family{
 		{Name: "bcpqp_accepted_packets_total", Help: "accepted \\ packets\nper aggregate", Type: "counter",
 			Samples: []Sample{
@@ -130,10 +127,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestHistBucketsCumulative(t *testing.T) {
-	h := NewHist()
-	h.Observe(100)  // bucket 0
-	h.Observe(5000) // later bucket
-	hs := h.Snapshot()
+	hs := digestHist(100, 5000)
 	var buf bytes.Buffer
 	err := WritePrometheus(&buf, Snapshot{Families: []Family{
 		{Name: "x", Type: "histogram", Samples: []Sample{{Hist: &hs}}},
@@ -162,9 +156,7 @@ func TestHistBucketsCumulative(t *testing.T) {
 }
 
 func TestExpvarVar(t *testing.T) {
-	h := NewHist()
-	h.Observe(1500)
-	hs := h.Snapshot()
+	hs := digestHist(1500)
 	v := Var(func() Snapshot {
 		return Snapshot{Families: []Family{
 			{Name: "bcpqp_panics_total", Type: "counter", Samples: []Sample{{Value: 3}}},

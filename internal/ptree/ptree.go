@@ -1,8 +1,8 @@
 // Package ptree implements an allocation-free hierarchical policy-tree
 // enforcer: one object covering a whole rooted tree of rate limits —
 // tenant → plan → subscriber — the shape the paper's operators (ISPs,
-// cellular carriers) actually configure, rather than the linear chains
-// internal/cascade composes.
+// cellular carriers) actually configure. A linear chain of stacked limits
+// (subscriber under link) is the degenerate unary tree.
 //
 // # Layout
 //
@@ -21,9 +21,8 @@
 //
 // Each node optionally carries a ceiling Stage (enforcer.Stage: a phantom
 // queue or token-bucket policer) — the hard cap on its subtree, enforced
-// with the same two-phase packet-major probe/commit discipline as
-// internal/cascade, so every level's Theorem 1 bound (accepted ≤ r·Δt + B)
-// holds exactly per interior node. A packet submitted at a leaf probes
+// with a two-phase packet-major probe/commit discipline, so every level's
+// Theorem 1 bound (accepted ≤ r·Δt + B) holds exactly per interior node. A packet submitted at a leaf probes
 // every ceiling on the leaf → root path and is committed to all of them or
 // none.
 //

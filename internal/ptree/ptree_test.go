@@ -2,11 +2,9 @@ package ptree
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
@@ -112,90 +110,6 @@ func TestTopology(t *testing.T) {
 	cfg, eff := tr.AssuredRate(1)
 	if cfg != 0 || eff != 8*units.Mbps {
 		t.Errorf("AssuredRate(planA) = (%v, %v), want (0, 8Mbps)", cfg, eff)
-	}
-}
-
-// chainSpec mirrors a cascade's stages as a linear ptree: spec[0] (root) is
-// the innermost stage, the last node the outermost leaf — the cascade's
-// stage 0. No assured rates, so the borrow layer is disabled and the tree
-// must reproduce cascade verdicts exactly.
-func chainStages(seed uint64) (mk func() []enforcer.Stage) {
-	return func() []enforcer.Stage {
-		r := rng.New(seed)
-		n := 2 + r.IntN(3)
-		stages := make([]enforcer.Stage, n)
-		for i := range stages {
-			rate := units.Rate(4+r.IntN(17)) * units.Mbps
-			if r.IntN(2) == 0 {
-				stages[i] = newTBF(rate)
-			} else {
-				stages[i] = newPQP(rate, 1+r.IntN(4))
-			}
-		}
-		return stages
-	}
-}
-
-// TestChainEquivalence: a linear-chain policy tree produces byte-identical
-// verdicts, stats and per-stage drop attribution to a Cascade over the same
-// stage configurations, under randomized bursty traffic.
-func TestChainEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			mk := chainStages(seed)
-			cascStages := mk()
-			treeStages := mk()
-			casc := cascade.MustNew(cascStages...)
-			n := len(treeStages)
-			spec := make([]NodeSpec, n)
-			for i := range spec {
-				// Tree node i holds cascade stage n-1-i: root = innermost.
-				spec[i] = NodeSpec{Parent: i - 1, Stage: treeStages[n-1-i]}
-			}
-			tr := MustNew(spec)
-			leaf := enforcer.NodeID(n - 1)
-			if !tr.IsLeaf(leaf) || tr.IsLeaf(0) && n > 1 {
-				t.Fatalf("chain leaf/root mixed up")
-			}
-
-			r := rng.New(seed ^ 0x9e3779b97f4a7c15)
-			now := time.Duration(0)
-			meanGap := (10 * units.Mbps).DurationForBytes(units.MSS)
-			for b := 0; b < 400; b++ {
-				np := 1 + r.IntN(48)
-				now += time.Duration(float64(meanGap) * float64(np) * r.Range(0.3, 0.9))
-				if r.IntN(20) == 0 {
-					now += 150 * time.Millisecond
-				}
-				for k := 0; k < np; k++ {
-					size := units.MSS
-					if r.IntN(4) == 0 {
-						size = 64 + r.IntN(units.MSS-64)
-					}
-					p := pkt(r.IntN(4), size)
-					vc := casc.Submit(now, p)
-					vt := tr.SubmitAt(now, leaf, p)
-					if vc != vt {
-						t.Fatalf("burst %d pkt %d: cascade %v, tree %v", b, k, vc, vt)
-					}
-				}
-			}
-			if cs, ts := casc.EnforcerStats(), tr.EnforcerStats(); cs != ts {
-				t.Errorf("stats diverged: cascade %+v, tree %+v", cs, ts)
-			}
-			for i := 0; i < n; i++ {
-				// Cascade stage i == tree node n-1-i.
-				ns, err := tr.NodeStats(enforcer.NodeID(n - 1 - i))
-				if err != nil {
-					t.Fatalf("NodeStats: %v", err)
-				}
-				if ns.DroppedPackets != casc.DroppedAt[i] {
-					t.Errorf("stage %d drop attribution: cascade %d, tree %d",
-						i, casc.DroppedAt[i], ns.DroppedPackets)
-				}
-			}
-		})
 	}
 }
 

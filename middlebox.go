@@ -3,7 +3,6 @@ package bcpqp
 import (
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 )
@@ -146,7 +145,7 @@ type AggregateFaults = mbox.FaultRecord
 type MiddleboxCloseReport = mbox.CloseReport
 
 // BatchSubmitter is the burst-oriented enforcement capability: all
-// enforcers in this module (PQP/BC-PQP, Policer, FairPolicer, Cascade)
+// enforcers in this module (PQP/BC-PQP, Policer, FairPolicer, PolicyTree)
 // implement it natively, amortizing clock handling, lazy drains, token
 // refills, and burst-control window checks across a whole burst.
 type BatchSubmitter = enforcer.BatchSubmitter
@@ -167,16 +166,8 @@ func Batched(enf Enforcer) BatchSubmitter { return enforcer.Batched(enf) }
 type StatsReader = enforcer.StatsReader
 
 // CascadeStage is an enforcer supporting two-phase (probe/commit)
-// admission; PQP/BC-PQP and token-bucket policers implement it.
-type CascadeStage = cascade.Stage
-
-// Cascade enforces hierarchical rate limits: a packet passes only if every
-// level admits it, and no level's accounting is charged for packets another
-// level drops.
-type Cascade = cascade.Cascade
-
-// NewCascade builds a multi-level rate limit, outermost (e.g. subscriber)
-// stage first.
-func NewCascade(stages ...CascadeStage) (*Cascade, error) {
-	return cascade.New(stages...)
-}
+// admission; PQP/BC-PQP and token-bucket policers implement it. It is the
+// ceiling of a PolicyTree node: stacked limits (subscriber under link)
+// are a chain of nodes, each level's accounting charged only for packets
+// every level admits.
+type CascadeStage = enforcer.Stage

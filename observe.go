@@ -22,9 +22,9 @@ import (
 type Collector = obs.Collector
 
 // ObserveOptions sizes the observability layer: flight-recorder ring
-// depth, KindBurst trace sampling cadence, and rate-meter window/horizon.
-// The zero value applies defaults (1024-event rings, 1-in-16 burst
-// sampling, the paper's 250 ms measurement window).
+// depth and KindBurst trace sampling cadence. The zero value applies
+// defaults (1024-event rings, 1-in-16 burst sampling). Rate meters always
+// use the paper's 250 ms measurement window.
 type ObserveOptions = obs.Options
 
 // TraceRecorder consumes trace events; the Collector's rings implement it.
@@ -157,7 +157,7 @@ func Observe(cfg *MiddleboxConfig, opts ObserveOptions) *Collector {
 // they are the rare, diagnostic transitions the recorder exists for.
 //
 // The aggregate's enforcer must be a *PQP; ErrNotObservable otherwise
-// (wrap a cascade's member queues before composing them instead).
+// (wrap a policy tree's member queues before composing them instead).
 func ObserveAggregate(mb *Middlebox, id string, c *Collector) error {
 	if c == nil {
 		return fmt.Errorf("bcpqp: nil collector for %q", id)

@@ -29,9 +29,9 @@ func NewPolicyTree(spec []PolicyTreeNode) (*PolicyTree, error) { return ptree.Ne
 func MustNewPolicyTree(spec []PolicyTreeNode) *PolicyTree { return ptree.MustNew(spec) }
 
 // TreeEnforcer is the node-addressed enforcement contract implemented by
-// *PolicyTree and *Cascade (a chain is the degenerate unary tree): packet
-// submission at a chosen node, and per-node stats, reconfiguration and
-// snapshot access. A Middlebox aggregate registered with AddTree exposes
+// *PolicyTree (a chain of stacked limits is the degenerate unary tree):
+// packet submission at a chosen node, and per-node stats, reconfiguration
+// and snapshot access. A Middlebox aggregate registered with AddTree exposes
 // all of it through per-node handles and control calls.
 type TreeEnforcer = enforcer.TreeEnforcer
 
