@@ -1,11 +1,12 @@
 package bcpqp
 
 // Datapath benchmarks: real loopback UDP through the engine, comparing the
-// single-socket ring datapath (one ReadFrom syscall per datagram, payload
-// copy, shard-ring handoff — what `bcpqp-proxy` does in ring mode) against
-// the per-core run-to-completion datapath (`-datapath percore`: recvmmsg
-// bursts into pinned buffers, zero-copy inline enforcement through the
-// ring-bypass LocalSubmitter, one sendmmsg per burst out).
+// retained ring baseline — the single-socket path `bcpqp-proxy` ran before
+// it had one datapath (one ReadFrom syscall per datagram, payload copy,
+// shard-ring handoff) — against the proxy's run-to-completion datapath
+// (`-cores N`: recvmmsg bursts into pinned buffers, zero-copy inline
+// enforcement through the ring-bypass LocalSubmitter, one sendmmsg per
+// burst out).
 //
 // The rig is a closed loop: each worker feeds a DefaultBurst of datagrams to
 // its own listener through an identical batched feeder socket, then drains
@@ -166,11 +167,11 @@ func benchEnforcer(b *testing.B) Enforcer {
 	return enf
 }
 
-// BenchmarkDatapathSingleSocket is the ring-mode proxy datapath: one shared
-// socket, one ReadFrom syscall and one payload copy per datagram, bursts
-// assembled under a drain deadline, enforcement via the shard ring, one
-// Write syscall per accepted datagram. This is the baseline the percore
-// mode is gated against (≥2× at burst 32).
+// BenchmarkDatapathSingleSocket is the retained ring baseline, the proxy's
+// former single-socket datapath: one shared socket, one ReadFrom syscall
+// and one payload copy per datagram, bursts assembled under a drain
+// deadline, enforcement via the shard ring, one Write syscall per accepted
+// datagram. The per-core datapath is gated against it (≥2× at burst 32).
 func BenchmarkDatapathSingleSocket(b *testing.B) {
 	rx, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -56,53 +55,21 @@ func TestParsePeers(t *testing.T) {
 // /cluster and the cluster metric families on /metrics, and still drain to
 // exit 0 on SIGTERM.
 func TestClusterProxyEndToEnd(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			if _, _, err := sink.ReadFrom(buf); err != nil {
-				return
-			}
-		}
-	}()
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	base := "http://" + admin.Addr().String()
-
+	sinkAddr, _ := startSink(t)
 	addrA, addrB := freeUDPPort(t), freeUDPPort(t)
-	enf, err := buildEnforcer("bc-pqp", bcpqp.Rate(8)*bcpqp.Mbps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigc := make(chan os.Signal, 4)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), enf, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
-			cluster: clusterOpts{
-				nodeID: "a",
-				peers:  map[string]string{"b": addrB},
-				listen: addrA,
-				shared: true,
-				rate:   bcpqp.Rate(8) * bcpqp.Mbps,
-				key:    "proxy-e2e-secret",
-			},
-		})
-	}()
+	bound, sigc, code := startProxy(t, proxyOpts{
+		forward: sinkAddr, scheme: "bc-pqp", rate: bcpqp.Rate(8) * bcpqp.Mbps, queues: 8,
+		httpAddr: "127.0.0.1:0",
+		cluster: clusterOpts{
+			nodeID: "a",
+			peers:  map[string]string{"b": addrB},
+			listen: addrA,
+			shared: true,
+			rate:   bcpqp.Rate(8) * bcpqp.Mbps,
+			key:    "proxy-e2e-secret",
+		},
+	})
+	base := "http://" + bound.admin
 
 	get := func(path string) (int, []byte) {
 		t.Helper()
@@ -219,13 +186,5 @@ func TestClusterProxyEndToEnd(t *testing.T) {
 		}
 	}
 
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("serve exit code %d", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve did not drain after SIGTERM")
-	}
+	drainProxy(t, sigc, code, syscall.SIGTERM)
 }

@@ -15,6 +15,8 @@ type coreStats struct {
 	rxTimeouts atomic.Int64 // idle read deadlines
 	txFlushes  atomic.Int64 // sendmmsg flushes that carried packets
 	txPkts     atomic.Int64 // packets those flushes sent
+	txDropped  atomic.Int64 // accepted packets the transmit path shed
+	shed       atomic.Int64 // packets shed because the shard was saturated
 	rxWaitNs   atomic.Int64 // time blocked in recvmmsg
 	enforceNs  atomic.Int64 // time in inline enforcement
 	flushNs    atomic.Int64 // time in sendmmsg
@@ -28,6 +30,7 @@ var coreFamilyDefs = [...]struct{ name, help string }{
 	{"bcpqp_core_rx_timeouts_total", "Idle receive deadlines."},
 	{"bcpqp_core_tx_flushes_total", "Transmit syscalls that carried packets."},
 	{"bcpqp_core_tx_packets_total", "Packets transmitted."},
+	{"bcpqp_core_tx_dropped_total", "Accepted packets the transmit path shed on send errors."},
 	{"bcpqp_core_rx_wait_seconds_total", "Time blocked waiting to receive."},
 	{"bcpqp_core_enforce_seconds_total", "Time spent enforcing received bursts inline."},
 	{"bcpqp_core_flush_seconds_total", "Time spent flushing accepted packets."},
@@ -49,17 +52,18 @@ func newCoreFamilies() coreFamilies {
 
 // add appends core's samples. The kernel-drop sample is omitted when the
 // platform cannot read the counter.
-func (f coreFamilies) add(core int, s *coreStats, shed, drops int64, haveDrops bool) {
+func (f coreFamilies) add(core int, s *coreStats, drops int64, haveDrops bool) {
 	vals := []float64{
 		float64(s.recvCalls.Load()),
 		float64(s.recvPkts.Load()),
 		float64(s.rxTimeouts.Load()),
 		float64(s.txFlushes.Load()),
 		float64(s.txPkts.Load()),
+		float64(s.txDropped.Load()),
 		float64(s.rxWaitNs.Load()) / 1e9,
 		float64(s.enforceNs.Load()) / 1e9,
 		float64(s.flushNs.Load()) / 1e9,
-		float64(shed),
+		float64(s.shed.Load()),
 	}
 	if haveDrops {
 		vals = append(vals, float64(drops))

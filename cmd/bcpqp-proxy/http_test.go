@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"syscall"
 	"testing"
@@ -15,7 +14,7 @@ import (
 	"bcpqp"
 )
 
-// TestAdminEndpointsEndToEnd runs the full proxy (serve, engine datapath,
+// TestAdminEndpointsEndToEnd runs the full proxy (serve, inline datapath,
 // admin listener) over loopback and scrapes every admin endpoint the way an
 // operator's curl would: /healthz must go 200 with a JSON body, /metrics
 // must expose the engine families in Prometheus text format, /debug/trace
@@ -23,49 +22,16 @@ import (
 // expvar output, and /debug/pprof must serve its index. SIGTERM must still
 // drain to exit 0 with the admin server attached.
 func TestAdminEndpointsEndToEnd(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			if _, _, err := sink.ReadFrom(buf); err != nil {
-				return
-			}
-		}
-	}()
-
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	base := "http://" + admin.Addr().String()
-
-	enf, err := buildEnforcer("bc-pqp", bcpqp.Rate(1)*bcpqp.Mbps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigc := make(chan os.Signal, 4)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), enf, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
-		})
-	}()
+	sinkAddr, _ := startSink(t)
+	bound, sigc, code := startProxy(t, proxyOpts{
+		forward: sinkAddr, scheme: "bc-pqp", rate: bcpqp.Rate(1) * bcpqp.Mbps, queues: 8,
+		httpAddr: "127.0.0.1:0",
+	})
+	base := "http://" + bound.admin
 
 	// Offered load far beyond the 1 Mbps plan, so the trace and counters
 	// have drops to show.
-	conn, err := net.Dial("udp", in.LocalAddr().String())
+	conn, err := net.Dial("udp", bound.listen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +166,7 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 	}
 
 	// Graceful drain still works with the admin server attached.
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("drain with admin server exited %d, want 0", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("proxy did not exit within 10s of SIGTERM")
-	}
+	drainProxy(t, sigc, code, syscall.SIGTERM)
 }
 
 // TestHealthzOverloadDegradedBut200 pins the load-balancer contract during

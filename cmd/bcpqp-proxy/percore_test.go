@@ -16,59 +16,24 @@ import (
 	"bcpqp"
 )
 
-// runPerCore drives the percore datapath end to end over loopback: N
-// senders overdrive a 5 Mbps bound, the sink counts what gets through,
-// /metrics carries one bcpqp_core_* sample per core, and SIGTERM must
-// drain cleanly (exit 0).
+// runPerCore drives the datapath end to end over loopback: N senders
+// overdrive a 5 Mbps bound, the sink counts what gets through, /metrics
+// carries one bcpqp_core_* sample per core, and SIGTERM must drain cleanly
+// (exit 0).
 func runPerCore(t *testing.T, cores int, forceSingle bool) {
 	t.Helper()
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("admin: %v", err)
-	}
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("sink: %v", err)
-	}
-	defer sink.Close()
-	var sunkBytes atomic.Int64
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			n, _, err := sink.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			sunkBytes.Add(int64(n))
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	ready := make(chan string, 1)
-	done := make(chan int, 1)
-	go func() {
-		done <- servePerCore(perCoreOpts{
-			cores:        cores,
-			listen:       "127.0.0.1:0",
-			forward:      sink.LocalAddr().String(),
-			scheme:       "bc-pqp",
-			rate:         5 * bcpqp.Mbps,
-			queues:       16,
-			drainTimeout: 3 * time.Second,
-			sig:          sig,
-			admin:        admin,
-			forceSingle:  forceSingle,
-			ready:        ready,
-		})
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case code := <-done:
-		t.Fatalf("servePerCore exited early with %d", code)
-	case <-time.After(5 * time.Second):
-		t.Fatalf("servePerCore never came up")
-	}
+	sinkAddr, sunkBytes := startSink(t)
+	bound, sig, done := startProxy(t, proxyOpts{
+		cores:        cores,
+		forward:      sinkAddr,
+		scheme:       "bc-pqp",
+		rate:         5 * bcpqp.Mbps,
+		queues:       16,
+		drainTimeout: 3 * time.Second,
+		httpAddr:     "127.0.0.1:0",
+		forceSingle:  forceSingle,
+	})
+	addr := bound.listen
 
 	// Overdrive: 4 sources × 500 × 1200 B over ~400 ms ≈ 48 Mbps against
 	// the 5 Mbps bound — the enforcer must shed most of it.
@@ -97,17 +62,9 @@ func runPerCore(t *testing.T, cores int, forceSingle bool) {
 	}
 	wg.Wait()
 	time.Sleep(300 * time.Millisecond) // let in-flight bursts settle
-	checkCoreMetrics(t, "http://"+admin.Addr().String()+"/metrics", cores)
+	checkCoreMetrics(t, "http://"+bound.admin+"/metrics", cores)
 
-	sig <- syscall.SIGTERM
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("servePerCore exit code %d, want 0", code)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("servePerCore did not drain after SIGTERM")
-	}
+	drainProxy(t, sig, done, syscall.SIGTERM)
 
 	got, offered := sunkBytes.Load(), sent.Load()
 	if got == 0 {
@@ -184,7 +141,7 @@ func TestServePerCoreFallbackBackend(t *testing.T) {
 func TestServePerCoreFailsFastOnBadScheme(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
-		done <- servePerCore(perCoreOpts{
+		done <- serve(proxyOpts{
 			cores:   1,
 			listen:  "127.0.0.1:0",
 			forward: "127.0.0.1:9",
@@ -200,6 +157,6 @@ func TestServePerCoreFailsFastOnBadScheme(t *testing.T) {
 			t.Fatalf("exit code %d, want 1", code)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("servePerCore with a bad scheme did not fail fast")
+		t.Fatalf("serve with a bad scheme did not fail fast")
 	}
 }

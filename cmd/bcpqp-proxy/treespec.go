@@ -43,28 +43,38 @@ type treeNodeJSON struct {
 	BurstBytes  int64   `json:"burst_bytes,omitempty"`
 }
 
+// nodeEnvelope is the conformance envelope of one ceilinged tree node,
+// armed with Middlebox.ArmNodeAudit.
+type nodeEnvelope struct {
+	node  bcpqp.NodeID
+	rate  bcpqp.Rate
+	burst int64
+}
+
 // loadTreeSpec reads a -tree JSON file and builds the policy tree.
-func loadTreeSpec(path string, defaultQueues int) (*bcpqp.PolicyTree, error) {
+func loadTreeSpec(path string, defaultQueues int) (*bcpqp.PolicyTree, []nodeEnvelope, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return parseTreeSpec(blob, defaultQueues)
 }
 
-// parseTreeSpec builds a policy tree from spec-file bytes. The enforcer
-// stages behind each ceiling come from the same bufferless constructor set
-// as the flat -scheme flag; defaultQueues applies when a ceiling omits
-// "queues".
-func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
+// parseTreeSpec builds a policy tree from spec-file bytes, plus the audit
+// envelope of every node with a ceiling (sized by auditEnvelope, as for a
+// flat enforcer of the same scheme). The enforcer stages behind each
+// ceiling come from the same bufferless constructor set as the flat
+// -scheme flag; defaultQueues applies when a ceiling omits "queues".
+func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, []nodeEnvelope, error) {
 	var nodes []treeNodeJSON
 	if err := json.Unmarshal(blob, &nodes); err != nil {
-		return nil, fmt.Errorf("tree spec: %w", err)
+		return nil, nil, fmt.Errorf("tree spec: %w", err)
 	}
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("tree spec: empty")
+		return nil, nil, fmt.Errorf("tree spec: empty")
 	}
 	spec := make([]bcpqp.PolicyTreeNode, len(nodes))
+	var envs []nodeEnvelope
 	for i, n := range nodes {
 		parent := 0
 		if i == 0 {
@@ -79,16 +89,20 @@ func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
 			if queues <= 0 {
 				queues = defaultQueues
 			}
-			enf, err := buildEnforcer(c.Scheme, bcpqp.Rate(c.RateMbps)*bcpqp.Mbps, queues)
+			rate := bcpqp.Rate(c.RateMbps) * bcpqp.Mbps
+			enf, err := buildEnforcer(c.Scheme, rate, queues)
 			if err != nil {
-				return nil, fmt.Errorf("tree spec node %d (%s): %w", i, n.Name, err)
+				return nil, nil, fmt.Errorf("tree spec node %d (%s): %w", i, n.Name, err)
 			}
 			s, ok := enf.(bcpqp.CascadeStage)
 			if !ok {
-				return nil, fmt.Errorf("tree spec node %d (%s): scheme %s cannot serve as a tree ceiling",
+				return nil, nil, fmt.Errorf("tree spec node %d (%s): scheme %s cannot serve as a tree ceiling",
 					i, n.Name, c.Scheme)
 			}
 			stage = s
+			if burst := auditEnvelope(c.Scheme, rate, queues); burst > 0 {
+				envs = append(envs, nodeEnvelope{node: bcpqp.NodeID(i), rate: rate, burst: burst})
+			}
 		}
 		spec[i] = bcpqp.PolicyTreeNode{
 			Name:    n.Name,
@@ -100,7 +114,7 @@ func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
 	}
 	tree, err := bcpqp.NewPolicyTree(spec)
 	if err != nil {
-		return nil, fmt.Errorf("tree spec: %w", err)
+		return nil, nil, fmt.Errorf("tree spec: %w", err)
 	}
-	return tree, nil
+	return tree, envs, nil
 }

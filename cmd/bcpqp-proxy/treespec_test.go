@@ -1,12 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -22,9 +22,16 @@ const demoTreeSpec = `[
 ]`
 
 func TestParseTreeSpec(t *testing.T) {
-	tree, err := parseTreeSpec([]byte(demoTreeSpec), 16)
+	tree, envs, err := parseTreeSpec([]byte(demoTreeSpec), 16)
 	if err != nil {
 		t.Fatalf("parseTreeSpec: %v", err)
+	}
+	// One audit envelope per ceilinged node (tenant, gold), none for the
+	// assured-only leaves.
+	if len(envs) != 2 || envs[0].node != 0 || envs[1].node != 1 ||
+		envs[0].rate != 50*bcpqp.Mbps || envs[1].rate != 20*bcpqp.Mbps ||
+		envs[0].burst <= 0 || envs[1].burst <= 0 {
+		t.Errorf("audit envelopes = %+v, want tenant@50Mbps and gold@20Mbps with positive bursts", envs)
 	}
 	if tree.NumNodes() != 4 {
 		t.Fatalf("NumNodes = %d, want 4", tree.NumNodes())
@@ -46,64 +53,35 @@ func TestParseTreeSpec(t *testing.T) {
 		{"negative assured", `[{"name": "r", "assured_mbps": -1}]`},
 	}
 	for _, tc := range bad {
-		if _, err := parseTreeSpec([]byte(tc.spec), 16); err == nil {
+		if _, _, err := parseTreeSpec([]byte(tc.spec), 16); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
 
 func TestLoadTreeSpecMissingFile(t *testing.T) {
-	if _, err := loadTreeSpec(t.TempDir()+"/nope.json", 16); err == nil {
+	if _, _, err := loadTreeSpec(t.TempDir()+"/nope.json", 16); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
 }
 
-// TestServeTreeAggregate runs the engine-hosted proxy over a policy tree:
-// datagrams relay through the tree's leaf-routed datapath, and the admin
-// /metrics/tree endpoint exports per-node counters with path labels.
+// TestServeTreeAggregate runs the proxy over a policy tree: datagrams
+// relay through the tree's leaf-routed datapath, the admin /metrics/tree
+// endpoint exports per-node counters with path labels, and /debug/audit
+// lists an armed auditor for each ceilinged node: the root audited the
+// relayed bytes with zero violations, the interior node is armed but not
+// yet credited.
 func TestServeTreeAggregate(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
+	sinkAddr, sunk := startSink(t)
+	specPath := t.TempDir() + "/tree.json"
+	if err := os.WriteFile(specPath, []byte(demoTreeSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
-	var sunk atomic.Int64
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			n, _, err := sink.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			sunk.Add(int64(n))
-		}
-	}()
+	bound, sigc, code := startProxy(t, proxyOpts{
+		forward: sinkAddr, queues: 16, treePath: specPath, httpAddr: "127.0.0.1:0",
+	})
 
-	tree, err := parseTreeSpec([]byte(demoTreeSpec), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { in.Close() })
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adminAddr := admin.Addr().String()
-	sigc := make(chan os.Signal, 1)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), tree, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
-		})
-	}()
-
-	conn, err := net.Dial("udp", in.LocalAddr().String())
+	conn, err := net.Dial("udp", bound.listen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +103,7 @@ func TestServeTreeAggregate(t *testing.T) {
 		t.Fatal("no traffic reached the sink through the tree datapath")
 	}
 
-	resp, err := http.Get("http://" + adminAddr + "/metrics/tree")
+	resp, err := http.Get("http://" + bound.admin + "/metrics/tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +120,51 @@ func TestServeTreeAggregate(t *testing.T) {
 		t.Errorf("/metrics/tree missing the tenant/gold path label:\n%s", text)
 	}
 
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("tree proxy drain exited %d, want 0", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("tree proxy did not exit within 10s of SIGTERM")
+	resp, err = http.Get("http://" + bound.admin + "/debug/audit")
+	if err != nil {
+		t.Fatal(err)
 	}
+	var audit struct {
+		Armed           int   `json:"armed"`
+		ViolationsTotal int64 `json:"violations_total"`
+		Audits          []struct {
+			Aggregate     string `json:"aggregate"`
+			Node          int32  `json:"node"`
+			AcceptedBytes int64  `json:"accepted_bytes"`
+			Violations    int64  `json:"violations"`
+		} `json:"audits"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&audit)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/debug/audit body: %v", err)
+	}
+	nodes := map[int32]bool{}
+	for _, a := range audit.Audits {
+		if a.Aggregate != proxyAggregate {
+			t.Errorf("audit row for aggregate %q, want %q", a.Aggregate, proxyAggregate)
+		}
+		if a.Violations != 0 {
+			t.Errorf("node %d: %d violations, want 0", a.Node, a.Violations)
+		}
+		// The proxy submits whole-aggregate bursts, which credit the
+		// root's envelope only: the root's zero violations are a checked
+		// result. The interior gold ceiling is armed but not yet credited
+		// (only leaf-addressed submission reaches it), so its zero
+		// violations prove nothing; pin that it saw no bytes.
+		switch {
+		case a.Node == 0 && a.AcceptedBytes == 0:
+			t.Errorf("root node audited no accepted bytes after relayed traffic")
+		case a.Node != 0 && a.AcceptedBytes != 0:
+			t.Errorf("interior node %d audited %d bytes; whole-aggregate submission should credit the root only",
+				a.Node, a.AcceptedBytes)
+		}
+		nodes[a.Node] = true
+	}
+	if audit.Armed != 2 || len(nodes) != 2 || !nodes[0] || !nodes[1] || audit.ViolationsTotal != 0 {
+		t.Errorf("/debug/audit armed=%d nodes=%v violations=%d, want the tenant (0) and gold (1) ceilings armed with 0 violations",
+			audit.Armed, nodes, audit.ViolationsTotal)
+	}
+
+	drainProxy(t, sigc, code, syscall.SIGTERM)
 }

@@ -17,11 +17,12 @@ import (
 
 // ExtDatapath is an extension experiment beyond the paper's figures: the
 // datapath-mode comparison. The paper's evaluation runs BC-PQP inside a
-// DPDK-style run-to-completion datapath; this repo's proxy offers two
-// socket datapaths — the single-socket ring mode (one ReadFrom syscall per
-// datagram, payload copy, shard-ring handoff) and the per-core mode
-// (SO_REUSEPORT sockets, recvmmsg bursts, zero-copy inline enforcement
-// through the ring-bypass submitter). This experiment drives the same
+// DPDK-style run-to-completion datapath; this experiment compares the
+// retained ring baseline — the single-socket path the proxy ran before it
+// had one datapath (one ReadFrom syscall per datagram, payload copy,
+// shard-ring handoff) — with the proxy's per-core datapath (SO_REUSEPORT
+// sockets, recvmmsg bursts, zero-copy inline enforcement through the
+// ring-bypass submitter). This experiment drives the same
 // paced open-loop schedule (netio.Blast over real loopback UDP, a
 // workload.Flood pinned to a fixed packet rate) at each mode and accounts
 // for every datagram: ingested and enforced, or shed by the kernel at the

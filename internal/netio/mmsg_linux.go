@@ -144,7 +144,7 @@ func (b *mmsgBackend) read(fd uintptr) bool {
 	return true
 }
 
-func (b *mmsgBackend) send(payloads [][]byte) error {
+func (b *mmsgBackend) send(payloads [][]byte) (int, error) {
 	for i := range payloads {
 		p := payloads[i]
 		if len(p) > 0 {
@@ -159,13 +159,13 @@ func (b *mmsgBackend) send(payloads [][]byte) error {
 	// message until the queue drains or a real error surfaces.
 	for b.txFrom < b.txTo {
 		if err := b.rawc.Write(b.writeFn); err != nil {
-			return err
+			return b.txFrom, err
 		}
 		if b.txErr != nil {
-			return b.txErr
+			return b.txFrom, b.txErr
 		}
 	}
-	return nil
+	return b.txFrom, nil
 }
 
 // write is the RawConn.Write callback: one sendmmsg for the unsent tail.

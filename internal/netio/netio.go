@@ -86,6 +86,9 @@ type Conn struct {
 	// it returns.
 	txPay [][]byte
 	txN   int
+	// txUnsent counts queued datagrams FlushTx failed to hand to the
+	// kernel, cumulatively.
+	txUnsent int64
 }
 
 // backend is the platform I/O strategy behind a Conn.
@@ -94,8 +97,9 @@ type backend interface {
 	// datagram arrives, fills the Conn's lens/src views, and returns the
 	// datagram count.
 	recv() (int, error)
-	// send transmits every payload on the connected socket.
-	send(payloads [][]byte) error
+	// send transmits every payload on the connected socket and reports
+	// how many the kernel accepted.
+	send(payloads [][]byte) (sent int, err error)
 	// batched reports whether this is the one-syscall-per-burst backend.
 	batched() bool
 }
@@ -218,14 +222,24 @@ func (c *Conn) QueuedTx() int { return c.txN }
 // sendmmsg per call on the batched backend (more if the kernel takes a
 // partial batch). The queue is emptied even on error: a transmit error on
 // an open-loop datapath sheds, it does not retry into a growing backlog.
+// The shed datagrams are counted in Unsent.
 func (c *Conn) FlushTx() error {
 	if c.txN == 0 {
 		return nil
 	}
 	n := c.txN
 	c.txN = 0
-	return c.be.send(c.txPay[:n])
+	sent, err := c.be.send(c.txPay[:n])
+	if err != nil {
+		c.txUnsent += int64(n - sent)
+	}
+	return err
 }
+
+// Unsent reports how many queued datagrams failed FlushTx calls did not
+// send, cumulatively over the Conn's life. A flush that returned an error
+// may still have sent part of its queue; those datagrams are not counted.
+func (c *Conn) Unsent() int64 { return c.txUnsent }
 
 // simpleBackend is the portable single-datagram fallback: one
 // ReadFromUDPAddrPort or Write syscall per datagram, allocation-free via
@@ -256,12 +270,17 @@ func (b *simpleBackend) recv() (int, error) {
 	return 1, nil
 }
 
-func (b *simpleBackend) send(payloads [][]byte) error {
+func (b *simpleBackend) send(payloads [][]byte) (int, error) {
 	var first error
+	sent := 0
 	for _, p := range payloads {
-		if _, err := b.c.pc.Write(p); err != nil && first == nil {
-			first = err
+		if _, err := b.c.pc.Write(p); err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
 		}
+		sent++
 	}
-	return first
+	return sent, first
 }

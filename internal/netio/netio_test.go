@@ -170,6 +170,53 @@ func TestReusePortRefusedOnFallback(t *testing.T) {
 	}
 }
 
+// TestFlushTxCountsUnsent aims a Conn at a loopback port with no
+// listener: once the ICMP port-unreachable comes back, flushes fail with
+// ECONNREFUSED, and Unsent must count the queued datagrams those failed
+// flushes shed, on both backends, while successful flushes count nothing.
+func TestFlushTxCountsUnsent(t *testing.T) {
+	for _, force := range []bool{true, false} {
+		if !force && !SupportsBatch() {
+			continue
+		}
+		hole, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := hole.LocalAddr().String()
+		hole.Close()
+		tx, err := Dial(addr, Config{Batch: 8, ForceSingle: force})
+		if err != nil {
+			t.Fatalf("Dial(force=%v): %v", force, err)
+		}
+		p := []byte{1, 2, 3, 4}
+		var queued, failed int64
+		for i := 0; i < 200 && failed == 0; i++ {
+			for j := 0; j < 8; j++ {
+				tx.QueueTx(p)
+			}
+			queued += 8
+			before := tx.Unsent()
+			if err := tx.FlushTx(); err != nil {
+				failed++
+				if tx.Unsent() == before {
+					t.Errorf("force=%v: failed flush (%v) counted no unsent datagrams", force, err)
+				}
+			} else if tx.Unsent() != before {
+				t.Errorf("force=%v: successful flush moved Unsent %d -> %d", force, before, tx.Unsent())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if failed == 0 {
+			t.Errorf("force=%v: no flush to a closed port failed in %d datagrams", force, queued)
+		}
+		if u := tx.Unsent(); u <= 0 || u > queued {
+			t.Errorf("force=%v: Unsent = %d, want within (0, %d]", force, u, queued)
+		}
+		tx.Close()
+	}
+}
+
 // TestSteadyStateAllocs locks in the 0 allocs/op contract on the receive
 // and transmit hot paths, for both backends.
 func TestSteadyStateAllocs(t *testing.T) {
