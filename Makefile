@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ignored-go build test vet staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
+.PHONY: all ignored-go build test vet staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify loc
 
 all: verify
 
@@ -72,6 +72,11 @@ bench:
 # summary when installed — nothing is downloaded here.
 bench-compare:
 	scripts/bench-compare.sh
+
+# Net production lines of Go: tracked sources minus tests and the
+# perfbench module. Each change reports this figure before and after.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
 
 # The gate CI runs: ignored-source check + build + vet + staticcheck +
 # govulncheck + race-enabled tests + chaos suite + fuzz smoke.

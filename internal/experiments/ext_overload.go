@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/rng"
@@ -93,16 +95,26 @@ type overloadRow struct {
 
 // runOverloadScenario drives one adversarial source through a fresh
 // overload-enabled engine (8 tbf aggregates spanning all four shed
-// classes, deliberately shallow rings) and reconciles the disposition.
+// classes, pinned round-robin to 2 shards with deliberately shallow rings)
+// and reconciles the disposition.
+//
+// The engine is overdriven by construction, not by racing the generator
+// against the shard goroutines: before the generator starts, an in-band
+// Flush parks each shard until the generator has finished. Each ring
+// therefore holds at most QueueDepth bursts of the storm, the overload
+// plane engages off the full rings, and everything else is shed — whatever
+// the host's speed or the race detector's slowdown. The parked Flushes then
+// return and the queued bursts are enforced.
 func runOverloadScenario(src workload.Source) (overloadRow, error) {
 	const (
 		aggs   = 8
+		shards = 2
 		rate   = 8 * units.Mbps
 		bucket = int64(64 * units.MSS)
 	)
 	var ticks atomic.Int64
 	e := mbox.New(mbox.Config{
-		Shards: 2, QueueDepth: 16,
+		Shards: shards, QueueDepth: 16,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
@@ -115,7 +127,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 	handles := make([]mbox.Handle, aggs)
 	for i := 0; i < aggs; i++ {
 		ids[i] = fmt.Sprintf("adv-%d", i)
-		h, err := e.Add(ids[i], tbf.MustNew(rate, bucket), nil)
+		h, err := e.AddPinned(ids[i], i%shards, tbf.MustNew(rate, bucket), nil)
 		if err != nil {
 			return overloadRow{}, err
 		}
@@ -123,6 +135,26 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 			return overloadRow{}, err
 		}
 		handles[i] = h
+	}
+
+	// Park every shard (ids[j] lives on shard j for j < shards) until the
+	// generator has finished.
+	release := make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
+	parked := make(chan error, 2*shards)
+	for j := 0; j < shards; j++ {
+		go func(id string) {
+			parked <- e.Flush(id, func(enforcer.Enforcer) {
+				parked <- nil
+				<-release
+			})
+		}(ids[j])
+	}
+	for j := 0; j < shards; j++ {
+		if err := <-parked; err != nil {
+			return overloadRow{}, err
+		}
 	}
 
 	var buf [64]packet.Packet
@@ -136,6 +168,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 			return overloadRow{}, err
 		}
 	}
+	unpark()
 
 	// Drain: every ring empty, then check the shards reclassified Healthy.
 	deadline := time.Now().Add(10 * time.Second)

@@ -130,10 +130,11 @@ func (l *LocalSubmitter) Shard() int { return l.s.idx }
 // payloads) past the call, so the caller may reuse the backing buffers
 // immediately, which is what makes a zero-copy rx→enforce→tx loop possible.
 //
-// The run is byte-identical to the ring path: same overload shed gate, same
-// panic barrier and quarantine/degrade handling, same verdict tallies and
-// trace sampling, same one-clock-read-per-burst arrival stamping. Verdicts
-// reach the aggregate's emit hook before SubmitBatch returns.
+// The run is byte-identical to the ring path by construction: the same
+// overload shed gate, then the shard goroutine's own run body (runBurst) —
+// panic barrier and quarantine/degrade handling, verdict tallies and trace
+// sampling, one clock read per burst. Verdicts reach the aggregate's emit
+// hook before SubmitBatch returns.
 //
 // Errors: ErrStale/invalid handle as usual; ErrWrongShard when h lives on a
 // different shard; ErrSaturated when the shard's occupancy word could not
@@ -164,20 +165,10 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
 	defer s.release()
-	// Heartbeat/activity stamps mirror process(): a core that only ever
-	// submits inline still reads as alive to the watchdog, and its
-	// aggregates as active to the idle-TTL sweeper.
-	wall := time.Now().UnixNano()
-	s.heartbeat.Store(wall)
-	agg.lastActive.Store(wall)
-	now := e.cfg.Clock()
-	e.runBatch(s, now, agg, enforcer.NoNode, pkts)
-	end := time.Now().UnixNano()
-	s.heartbeat.Store(end)
-	s.processed.Add(1)
-	if s.obs != nil {
-		s.obs.ObserveBurst(end - wall)
-	}
+	// The ring path's run body: a core that only ever submits inline still
+	// reads as alive to the watchdog, and its aggregates as active to the
+	// idle-TTL sweeper.
+	e.runBurst(s, agg, enforcer.NoNode, pkts)
 	e.InlineBursts.Add(1)
 	return nil
 }

@@ -12,12 +12,11 @@
 // Aggregates are hashed across shards; each shard owns its aggregates
 // exclusively and processes bursts on a single goroutine, so enforcers
 // never need locks on the datapath (the same shared-nothing sharding a
-// DPDK middlebox gets from RSS queues). Single-packet Submits are coalesced
-// into per-shard pending bursts flushed on a size-or-deadline trigger;
-// SubmitBatch hands a whole burst to the shard in one ring operation. Each
-// shard ring slot carries a burst: when a shard falls behind, excess bursts
-// are shed and counted as overload — a middlebox must shed load, not
-// buffer unboundedly.
+// DPDK middlebox gets from RSS queues). Every shard ring slot carries one
+// aggregate's burst: SubmitBatch hands a whole burst to the shard in one ring
+// operation, and a single-packet Submit is a one-packet burst. When a shard
+// falls behind, excess bursts are shed and counted as overload — a
+// middlebox must shed load, not buffer unboundedly.
 //
 // Control operations (stats/flush/live reconfiguration/snapshots) are
 // serialized through the same shard goroutines, so they are safe during
@@ -186,18 +185,9 @@ type Config struct {
 	// Shards is the number of shard goroutines (default GOMAXPROCS).
 	Shards int
 	// QueueDepth is each shard's ingress ring capacity in BURSTS
-	// (default 1024). With the default FlushBurst of 32 a full ring
-	// therefore holds up to 32× as many packets.
+	// (default 1024): each slot holds one submission's burst, and a
+	// Submit is a one-packet burst.
 	QueueDepth int
-	// FlushBurst is the target burst size: single-packet Submits are
-	// coalesced per shard until the pending burst reaches this size
-	// (default 32). 1 disables coalescing — every Submit enqueues
-	// immediately.
-	FlushBurst int
-	// FlushInterval is the deadline trigger: a partially filled pending
-	// burst is flushed at least this often by a background flusher, so a
-	// trickle of traffic is never stranded in staging (default 500µs).
-	FlushInterval time.Duration
 	// ControlTimeout bounds how long a control operation (Stats/Flush)
 	// waits for space on the ordered data ring before failing over to
 	// the shard's priority control lane, and then how long it waits for
@@ -343,8 +333,8 @@ type Engine struct {
 	extraMu      sync.Mutex
 	extraMetrics []func() []obs.Family
 
-	pool        sync.Pool // *burst
-	flushStop   chan struct{}
+	pool        sync.Pool     // *burst
+	quit        chan struct{} // closed by Close: stops the watchdog and sweeper
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
@@ -407,18 +397,14 @@ type aggregate struct {
 	audit atomic.Pointer[aggAudit]
 }
 
-// burst is one ring slot of work: either a single-aggregate burst (agg set,
-// from SubmitBatch) or a mixed coalesced burst (aggs parallel to pkts, from
-// staged single-packet Submits). node (single) / nodes (parallel to pkts)
-// carry the tree-node ingress for leaf-addressed submissions; NoNode means
+// burst is one ring slot of work: one aggregate's packets. node carries the
+// tree-node ingress of a leaf-addressed submission; NoNode means
 // whole-aggregate submission (node 0 is a valid node, so the zero value
 // must never be used as "unset"). Bursts are pooled; the engine owns them.
 type burst struct {
-	pkts  []packet.Packet
-	aggs  []*aggregate
-	nodes []enforcer.NodeID
-	agg   *aggregate
-	node  enforcer.NodeID
+	pkts []packet.Packet
+	agg  *aggregate
+	node enforcer.NodeID
 }
 
 // item is one unit of shard work.
@@ -437,9 +423,6 @@ type shard struct {
 	idx  int
 	in   chan item // ordered data ring (bursts + in-band control)
 	ctrl chan item // priority control lane used when in is saturated
-
-	mu     sync.Mutex
-	staged *burst // pending coalesced burst, nil when empty
 
 	// occ is the shard occupancy word (occFree/occShard/occLocal): the
 	// shard goroutine CASes it around every ring item and ring-bypass
@@ -469,8 +452,9 @@ type shard struct {
 	// the collector's global sequence from every producer. The first shed
 	// records immediately (the transition into overload is never missed);
 	// after that one event per obsSample sheds carries the accumulated
-	// packet count. Both are guarded by the shard's staging lock, which
-	// every enqueue already holds. Overloaded/shed counters stay exact.
+	// packet count. Both are guarded by mu, which only shedding
+	// submitters take. Overloaded/shed counters stay exact.
+	mu        sync.Mutex
 	shedTick  int
 	shedAccum int64
 
@@ -484,12 +468,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.FlushBurst <= 0 {
-		cfg.FlushBurst = enforcer.DefaultBurst
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 500 * time.Microsecond
 	}
 	if cfg.ControlTimeout <= 0 {
 		cfg.ControlTimeout = 10 * time.Millisecond
@@ -523,9 +501,9 @@ func New(cfg Config) *Engine {
 		cfg.Overload = cfg.Overload.withDefaults(cfg.IdleTTL)
 	}
 	e := &Engine{
-		cfg:       cfg,
-		flushStop: make(chan struct{}),
-		dead:      make(chan struct{}),
+		cfg:  cfg,
+		quit: make(chan struct{}),
+		dead: make(chan struct{}),
 	}
 	if cfg.Overload.Enabled {
 		e.overload = newOverloadPlane(cfg.Overload, cfg.QueueDepth)
@@ -535,10 +513,8 @@ func New(cfg Config) *Engine {
 	}
 	e.pool.New = func() any {
 		return &burst{
-			pkts:  make([]packet.Packet, 0, cfg.FlushBurst),
-			aggs:  make([]*aggregate, 0, cfg.FlushBurst),
-			nodes: make([]enforcer.NodeID, 0, cfg.FlushBurst),
-			node:  enforcer.NoNode,
+			pkts: make([]packet.Packet, 0, enforcer.DefaultBurst),
+			node: enforcer.NoNode,
 		}
 	}
 	e.table.Store(&registry{byID: make(map[string]Handle)})
@@ -548,7 +524,7 @@ func New(cfg Config) *Engine {
 			idx:      i,
 			in:       make(chan item, cfg.QueueDepth),
 			ctrl:     make(chan item, 16),
-			verdicts: make([]enforcer.Verdict, cfg.FlushBurst),
+			verdicts: make([]enforcer.Verdict, enforcer.DefaultBurst),
 			done:     make(chan struct{}),
 		}
 		s.heartbeat.Store(now)
@@ -558,7 +534,6 @@ func New(cfg Config) *Engine {
 		e.shards = append(e.shards, s)
 		go e.run(s)
 	}
-	go e.flusher()
 	go e.watchdog()
 	if cfg.IdleTTL > 0 {
 		go e.sweeper()
@@ -586,11 +561,10 @@ func (e *Engine) run(s *shard) {
 }
 
 // process executes one item on the shard goroutine; true means stop. It
-// stamps the shard heartbeat around the item and marks the shard busy while
-// the item is in flight, so the watchdog can tell wedged from idle. The
-// item runs under the shard's occupancy word, serializing it against
-// ring-bypass inline submitters (see local.go); stop items skip the word —
-// they touch no enforcement state.
+// marks the shard busy while the item is in flight, so the watchdog can
+// tell wedged from idle. The item runs under the shard's occupancy word,
+// serializing it against ring-bypass inline submitters (see local.go); stop
+// items skip the word — they touch no enforcement state.
 func (e *Engine) process(s *shard, it item) bool {
 	if it.stop {
 		return true
@@ -598,50 +572,38 @@ func (e *Engine) process(s *shard, it item) bool {
 	s.busy.Store(true)
 	s.acquire(occShard)
 	defer s.release()
-	wall := time.Now().UnixNano()
-	s.heartbeat.Store(wall)
-	defer func() {
-		s.processed.Add(1)
-		// One wall-clock read serves both the heartbeat stamp and the
-		// burst-latency histogram — enabling observability adds no clock
-		// calls to the datapath.
-		end := time.Now().UnixNano()
-		s.heartbeat.Store(end)
-		s.busy.Store(false)
-		if s.obs != nil && it.b != nil {
-			s.obs.ObserveBurst(end - wall)
-		}
-	}()
-	if it.control != nil {
-		e.runControl(s, it)
+	defer s.busy.Store(false)
+	if b := it.b; b != nil {
+		e.runBurst(s, b.agg, b.node, b.pkts)
+		e.putBurst(b)
 		return false
 	}
-	b := it.b
-	// One clock read per burst (vs per packet): every packet in the burst
-	// is enforced at the same virtual arrival time, the granularity a
-	// burst-polling middlebox actually observes.
-	now := e.cfg.Clock()
-	if b.agg != nil {
-		b.agg.lastActive.Store(wall)
-		e.runBatch(s, now, b.agg, b.node, b.pkts)
-	} else {
-		// Mixed coalesced burst: group consecutive same-(aggregate, node)
-		// runs so each run goes through the enforcer's native batch path
-		// with a single path resolution.
-		for i := 0; i < len(b.pkts); {
-			j := i + 1
-			for j < len(b.pkts) && b.aggs[j] == b.aggs[i] && b.nodes[j] == b.nodes[i] {
-				j++
-			}
-			// One coarse idle-TTL stamp per run, reusing the wall time
-			// already read for the heartbeat: no per-packet atomics.
-			b.aggs[i].lastActive.Store(wall)
-			e.runBatch(s, now, b.aggs[i], b.nodes[i], b.pkts[i:j])
-			i = j
-		}
-	}
-	e.putBurst(b)
+	s.heartbeat.Store(time.Now().UnixNano())
+	e.runControl(s, it)
+	s.heartbeat.Store(time.Now().UnixNano())
+	s.processed.Add(1)
 	return false
+}
+
+// runBurst is the one enforcement body for a burst, shared by the shard
+// goroutine (ring items) and LocalSubmitter (inline runs); the caller holds
+// the shard's occupancy word. It stamps the shard heartbeat and the
+// aggregate's idle-TTL activity around the run — one wall-clock read at
+// each end serves the heartbeat, the activity stamp and the burst-latency
+// histogram, so observability adds no clock calls — and reads the engine
+// clock once: every packet in the burst is enforced at the same virtual
+// arrival time, the granularity a burst-polling middlebox observes.
+func (e *Engine) runBurst(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
+	wall := time.Now().UnixNano()
+	s.heartbeat.Store(wall)
+	agg.lastActive.Store(wall)
+	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
+	end := time.Now().UnixNano()
+	s.heartbeat.Store(end)
+	s.processed.Add(1)
+	if s.obs != nil {
+		s.obs.ObserveBurst(end - wall)
+	}
 }
 
 // runControl executes one control item inside a panic barrier. done is
@@ -864,37 +826,6 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 	}
 }
 
-// flusher is the deadline trigger: it flushes every shard's pending
-// coalesced burst at least once per FlushInterval so low-rate traffic is
-// never stranded behind the size trigger.
-func (e *Engine) flusher() {
-	t := time.NewTicker(e.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.flushStop:
-			return
-		case <-t.C:
-			for _, s := range e.shards {
-				e.flushStaged(s)
-			}
-		}
-	}
-}
-
-// flushStaged enqueues a shard's pending coalesced burst, if any. The
-// enqueue happens under the staging lock so a producer that fills a fresh
-// burst immediately afterwards cannot overtake the flushed one (per-
-// producer FIFO is preserved).
-func (e *Engine) flushStaged(s *shard) {
-	s.mu.Lock()
-	if b := s.staged; b != nil {
-		s.staged = nil
-		e.enqueue(s, b)
-	}
-	s.mu.Unlock()
-}
-
 // enqueue offers a burst to the shard ring without blocking: a full ring
 // sheds the whole burst and counts it as overload.
 func (e *Engine) enqueue(s *shard, b *burst) {
@@ -904,31 +835,34 @@ func (e *Engine) enqueue(s *shard, b *burst) {
 		n := int64(len(b.pkts))
 		e.Overloaded.Add(n)
 		s.shed.Add(n)
-		if s.obs != nil {
-			s.shedAccum += n
-			if s.shedTick--; s.shedTick <= 0 {
-				s.shedTick = e.obsSample
-				s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1, A: s.shedAccum})
-				s.shedAccum = 0
-			}
-		}
+		e.recordShed(s, -1, 0, n)
 		e.putBurst(b)
 	}
 }
 
-// getBurst takes a reset burst from the pool.
-func (e *Engine) getBurst() *burst {
-	return e.pool.Get().(*burst)
+// recordShed feeds n shed packets into the shard's KindShed coalescing (see
+// shard.shedTick). agg and class are -1 and 0 for a ring-full shed, the
+// aggregate handle and its shed class for a proactive priority shed. No-op
+// without an Observer.
+func (e *Engine) recordShed(s *shard, agg, class, n int64) {
+	if s.obs == nil {
+		return
+	}
+	s.mu.Lock()
+	s.shedAccum += n
+	if s.shedTick--; s.shedTick <= 0 {
+		s.shedTick = e.obsSample
+		s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: agg, Node: -1, A: s.shedAccum, B: class})
+		s.shedAccum = 0
+	}
+	s.mu.Unlock()
 }
 
 // putBurst clears a burst (dropping payload and aggregate references so
 // the pool does not pin memory) and returns it to the pool.
 func (e *Engine) putBurst(b *burst) {
 	clear(b.pkts)
-	clear(b.aggs)
 	b.pkts = b.pkts[:0]
-	b.aggs = b.aggs[:0]
-	b.nodes = b.nodes[:0]
 	b.agg = nil
 	b.node = enforcer.NoNode
 	e.pool.Put(b)
@@ -1069,7 +1003,7 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 // statistics, so accounting is not silently lost at teardown.
 //
 // Drain semantics: unpublication is immediate — new Submits fail with
-// ErrStale — but packets already staged or queued to the shard when Remove
+// ErrStale — but packets already queued to the shard when Remove
 // is called are still enforced and emitted (the aggregate's state stays
 // valid until its queued bursts drain). The final stats are read through an
 // in-band control barrier after those bursts, so they include every packet
@@ -1188,73 +1122,49 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 	return agg, nil
 }
 
-// Submit hands one packet to the aggregate behind h. It never blocks: the
-// packet joins the owning shard's pending burst (flushed on the size or
-// deadline trigger), and when the shard ring is full the burst is shed and
-// counted in Overloaded. With the overload plane active, packets whose
-// aggregate's shed class exceeds its ring-occupancy ceiling are shed
-// proactively and counted in OverloadShed. Invalid handles report an error
-// (misrouted traffic should be visible).
+// Submit hands one packet to the aggregate behind h as a one-packet burst
+// (see SubmitBatch). The engine clock is therefore read once for this
+// packet, where a SubmitBatch burst shares one read among its packets.
+// Invalid handles report an error (misrouted traffic should be visible).
 func (e *Engine) Submit(h Handle, pkt packet.Packet) error {
-	agg, err := e.resolve(h)
-	if err != nil {
-		return err
-	}
-	s := agg.shard
-	if p := e.overload; p != nil && p.shedGate(s, agg) {
-		e.shedPriority(s, agg, 1)
-		return nil
-	}
-	s.mu.Lock()
-	b := s.staged
-	if b == nil {
-		b = e.getBurst()
-		s.staged = b
-	}
-	b.pkts = append(b.pkts, pkt)
-	b.aggs = append(b.aggs, agg)
-	b.nodes = append(b.nodes, enforcer.NoNode)
-	if len(b.pkts) >= e.cfg.FlushBurst {
-		s.staged = nil
-		e.enqueue(s, b)
-	}
-	s.mu.Unlock()
-	return nil
+	return e.SubmitBatch(h, []packet.Packet{pkt})
 }
 
 // SubmitBatch hands a whole burst for one aggregate to its shard in a
-// single ring operation — the engine's preferred ingress path. The packets
-// are copied into an engine-owned pooled buffer, so the caller may reuse
-// pkts immediately; steady-state burst submission performs no allocation.
-// Any pending coalesced single-packet burst for the shard is flushed first
-// so per-producer FIFO order holds across both APIs. With the overload
-// plane active, bursts whose aggregate's shed class exceeds its
-// ring-occupancy ceiling are shed proactively (counted in OverloadShed)
-// before any buffer is taken.
+// single ring operation — the engine's ingress path. It never blocks: when
+// the shard ring is full the burst is shed and counted in Overloaded. The
+// packets are copied into an engine-owned pooled buffer, so the caller may
+// reuse pkts immediately; steady-state burst submission performs no
+// allocation. Bursts from one producer reach the shard in submission
+// order. With the overload plane active, bursts whose aggregate's shed
+// class exceeds its ring-occupancy ceiling are shed proactively (counted in
+// OverloadShed) before any buffer is taken.
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	agg, err := e.resolve(h)
 	if err != nil {
 		return err
 	}
+	e.submit(agg, enforcer.NoNode, pkts)
+	return nil
+}
+
+// submit is the one ring entry body behind Submit, SubmitBatch, SubmitLeaf
+// and SubmitLeafBatch: the overload plane's priority gate, the pooled copy,
+// and the non-blocking enqueue of one aggregate's burst entering at node.
+func (e *Engine) submit(agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
 	if len(pkts) == 0 {
-		return nil
+		return
 	}
 	s := agg.shard
 	if p := e.overload; p != nil && p.shedGate(s, agg) {
 		e.shedPriority(s, agg, len(pkts))
-		return nil
+		return
 	}
-	b := e.getBurst()
+	b := e.pool.Get().(*burst) // reset by putBurst
 	b.agg = agg
+	b.node = node
 	b.pkts = append(b.pkts, pkts...)
-	s.mu.Lock()
-	if st := s.staged; st != nil {
-		s.staged = nil
-		e.enqueue(s, st)
-	}
 	e.enqueue(s, b)
-	s.mu.Unlock()
-	return nil
 }
 
 // Stats reads an aggregate's enforcement statistics. The read executes on
@@ -1296,16 +1206,14 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 // goroutine and waits for it. It works on unpublished aggregates too, which
 // is how Remove and the eviction sweeper collect final statistics.
 //
-// The shard's pending coalesced burst is flushed first and the control
-// item rides the ordered data ring, so fn observes every packet submitted
-// before the call. When the data ring stays full past ControlTimeout
+// The control item rides the ordered data ring behind the shard's queued
+// bursts, so fn observes every packet submitted before the call. When the data ring stays full past ControlTimeout
 // (a saturated or wedged shard), the item fails over to the shard's
 // dedicated control lane — jumping ahead of queued data is the price of
 // not letting data traffic stall the control plane; if even the lane is
 // full past the timeout, ErrSaturated is reported.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
-	e.flushStaged(s)
 	done := make(chan struct{})
 	it := item{control: func() { fn(agg.enf) }, done: done, agg: agg}
 
@@ -1438,7 +1346,7 @@ func (e *Engine) sweeper() {
 	defer t.Stop()
 	for {
 		select {
-		case <-e.flushStop:
+		case <-e.quit:
 			return
 		case <-t.C:
 			e.sweep()
@@ -1651,8 +1559,7 @@ func (e *Engine) Health() Health {
 }
 
 // watchdog periodically reclassifies every shard from its heartbeat age,
-// ring depth, and fault-counter deltas. It shares the flusher's stop
-// channel and exits at Close.
+// ring depth, and fault-counter deltas. It exits at Close.
 func (e *Engine) watchdog() {
 	t := time.NewTicker(e.cfg.WatchdogInterval)
 	defer t.Stop()
@@ -1660,7 +1567,7 @@ func (e *Engine) watchdog() {
 	lastShed := make([]int64, len(e.shards))
 	for {
 		select {
-		case <-e.flushStop:
+		case <-e.quit:
 			return
 		case <-t.C:
 			now := time.Now().UnixNano()
@@ -1733,12 +1640,7 @@ func (e *Engine) Close() CloseReport {
 	// Publish the closed snapshot: subsequent datapath and control calls
 	// fail fast without touching the shards.
 	e.table.Store(&registry{closed: true, byID: map[string]Handle{}})
-	close(e.flushStop) // stops the flusher and the watchdog
-	// Flush staged bursts so everything accepted before Close is
-	// enforced where the shard is still responsive.
-	for _, s := range e.shards {
-		e.flushStaged(s)
-	}
+	close(e.quit)
 	deadline := time.Now().Add(e.cfg.CloseTimeout)
 	type result struct {
 		exited bool

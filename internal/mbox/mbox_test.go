@@ -234,30 +234,34 @@ func TestStatsErrNoStats(t *testing.T) {
 }
 
 func TestSingleAndBatchAgree(t *testing.T) {
-	// The same deterministic traffic through Submit and through
-	// SubmitBatch must produce identical enforcement statistics.
-	run := func(batch bool) enforcer.Stats {
-		clock := &fakeClock{step: 100 * time.Microsecond}
-		e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 16})
+	// Submit is a one-packet SubmitBatch: the same deterministic traffic
+	// must produce identical enforcement statistics through either. Under
+	// a clock that steps on every read, each one-packet burst sees its own
+	// reading; under a constant clock, grouping packets into 32-packet
+	// bursts must not change the verdicts either.
+	const n = 4096
+	// run submits n packets through Submit (burst 0) or through
+	// SubmitBatch bursts of the given size and returns the final stats.
+	run := func(clock func() time.Duration, burst int) enforcer.Stats {
+		e := New(Config{Shards: 1, Clock: clock, QueueDepth: 1 << 16})
 		defer e.Close()
 		h, err := e.Add("x", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const n = 4096
-		if batch {
-			var buf [32]packet.Packet
-			for i := 0; i < n; i += len(buf) {
-				for j := range buf {
-					buf[j] = pkt(i + j)
-				}
-				if err := e.SubmitBatch(h, buf[:]); err != nil {
+		if burst == 0 {
+			for i := 0; i < n; i++ {
+				if err := e.Submit(h, pkt(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				if err := e.Submit(h, pkt(i)); err != nil {
+			buf := make([]packet.Packet, burst)
+			for i := 0; i < n; i += burst {
+				for j := range buf {
+					buf[j] = pkt(i + j)
+				}
+				if err := e.SubmitBatch(h, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -271,9 +275,15 @@ func TestSingleAndBatchAgree(t *testing.T) {
 		}
 		return st
 	}
-	single, batched := run(false), run(true)
-	if single != batched {
-		t.Errorf("single-packet path stats %+v != batch path stats %+v", single, batched)
+	stepping := func() func() time.Duration {
+		return (&fakeClock{step: 100 * time.Microsecond}).now
+	}
+	if single, one := run(stepping(), 0), run(stepping(), 1); single != one {
+		t.Errorf("stepping clock: Submit stats %+v != one-packet SubmitBatch stats %+v", single, one)
+	}
+	constant := func() time.Duration { return time.Second }
+	if single, batched := run(constant, 0), run(constant, 32); single != batched {
+		t.Errorf("constant clock: Submit stats %+v != 32-packet SubmitBatch stats %+v", single, batched)
 	}
 }
 
@@ -298,12 +308,11 @@ func TestFlushRunsMaintenance(t *testing.T) {
 	}
 }
 
-func TestDeadlineFlushDeliversPartialBursts(t *testing.T) {
-	// A lone packet must not be stranded in the pending burst: the
-	// background deadline flusher delivers it without any further
-	// traffic or control activity.
+func TestLoneSubmitDeliveredWithoutFurtherTraffic(t *testing.T) {
+	// A lone packet is a one-packet burst on the ring: it is enforced and
+	// emitted without any further traffic or control activity.
 	var emitted atomic.Int64
-	e := New(Config{Shards: 1, FlushInterval: time.Millisecond, QueueDepth: 16})
+	e := New(Config{Shards: 1, QueueDepth: 16})
 	defer e.Close()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 10*units.MSS), func(packet.Packet) {
 		emitted.Add(1)
@@ -318,7 +327,7 @@ func TestDeadlineFlushDeliversPartialBursts(t *testing.T) {
 	for emitted.Load() == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("staged packet never flushed by the deadline trigger")
+			t.Fatal("lone submitted packet never emitted")
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -357,7 +366,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	// still wedged, eventually reports ErrSaturated instead of hanging.
 	gate := make(chan struct{})
 	e := New(Config{
-		Shards: 1, QueueDepth: 1, FlushBurst: 1,
+		Shards: 1, QueueDepth: 1,
 		ControlTimeout: 20 * time.Millisecond,
 	})
 	defer e.Close()

@@ -120,7 +120,10 @@ func TestShedClassAPI(t *testing.T) {
 // TestPriorityShedUnderPressure wedges a shard, lets the watchdog engage the
 // plane off ring pressure, and proves the shed policy is class-aware: the
 // shed-first aggregate is dropped before the ring while the shed-last one
-// still reaches the ring (and its enforcer, once unwedged).
+// still reaches the ring (and its enforcer, once unwedged). Every ingress
+// takes the same gate: a shed-first tree's whole-aggregate and
+// node-addressed (leaf) submissions are shed before the ring too, never
+// queued for it where they would compete with class-0 bursts for slots.
 func TestPriorityShedUnderPressure(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -129,7 +132,7 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{
-		Shards: 1, QueueDepth: 8, FlushBurst: 1,
+		Shards: 1, QueueDepth: 8,
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     5 * time.Second,
 		Observer:         c,
@@ -160,6 +163,17 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	if err := e.SetShedClass("victim", 3); err != nil {
 		t.Fatal(err)
 	}
+	hTree, err := e.AddTree("tenant", newTestTree(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetShedClass("tenant", 3); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := e.Leaf(hTree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Wedge the consumer and fill the ring: pressure → 1.0.
 	if err := e.SubmitBatch(hKeep, burstOf(1, 0)); err != nil {
@@ -174,16 +188,29 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	}
 
 	// Class 3's ceiling on an 8-deep ring is ⌊8·3/25⌋=0→clamped to 1
-	// burst; the ring is full, so every victim submission sheds
+	// burst; the ring is full, so every class-3 submission sheds
 	// proactively, before any ring slot and before the enforcer.
-	shed0 := e.OverloadShed.Load()
-	for i := 0; i < 20; i++ {
-		if err := e.SubmitBatch(hVictim, burstOf(1, i)); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		submit func(i int) error
+	}{
+		{"victim SubmitBatch", func(i int) error { return e.SubmitBatch(hVictim, burstOf(1, i)) }},
+		{"tree SubmitBatch", func(i int) error { return e.SubmitBatch(hTree, burstOf(1, i)) }},
+		{"tree SubmitLeafBatch", func(i int) error { return e.SubmitLeafBatch(leaf, burstOf(1, i)) }},
+		{"tree SubmitLeaf", func(i int) error { return e.SubmitLeaf(leaf, pkt(i)) }},
+	} {
+		shed0, over0 := e.OverloadShed.Load(), e.Overloaded.Load()
+		for i := 0; i < 20; i++ {
+			if err := tc.submit(i); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
-	}
-	if got := e.OverloadShed.Load() - shed0; got != 20 {
-		t.Errorf("OverloadShed grew %d, want 20", got)
+		if got := e.OverloadShed.Load() - shed0; got != 20 {
+			t.Errorf("%s: OverloadShed grew %d, want 20", tc.name, got)
+		}
+		if got := e.Overloaded.Load() - over0; got != 0 {
+			t.Errorf("%s: Overloaded grew %d, want 0 (shed before the ring)", tc.name, got)
+		}
 	}
 	if f, err := e.Faults("victim"); err != nil {
 		t.Fatal(err)

@@ -22,11 +22,9 @@ import (
 func TestEngineConcurrentStress(t *testing.T) {
 	clock := &fakeClock{step: 10 * time.Microsecond}
 	e := New(Config{
-		Shards:        4,
-		QueueDepth:    64,
-		FlushBurst:    8,
-		FlushInterval: 100 * time.Microsecond,
-		Clock:         clock.now,
+		Shards:     4,
+		QueueDepth: 64,
+		Clock:      clock.now,
 	})
 
 	const stable = 6

@@ -88,58 +88,23 @@ func (e *Engine) Leaf(h Handle, node enforcer.NodeID) (LeafHandle, error) {
 	return LeafHandle{h: h, node: node}, nil
 }
 
-// SubmitLeaf hands one packet to a tree node. Like Submit it never blocks:
-// the packet joins the owning shard's pending coalesced burst carrying its
-// node address, and consecutive same-(aggregate, node) packets are run
-// through the tree's batch path together.
+// SubmitLeaf hands one packet to a tree node as a one-packet burst (see
+// SubmitLeafBatch).
 func (e *Engine) SubmitLeaf(lh LeafHandle, pkt packet.Packet) error {
-	agg, err := e.resolve(lh.h)
-	if err != nil {
-		return err
-	}
-	s := agg.shard
-	s.mu.Lock()
-	b := s.staged
-	if b == nil {
-		b = e.getBurst()
-		s.staged = b
-	}
-	b.pkts = append(b.pkts, pkt)
-	b.aggs = append(b.aggs, agg)
-	b.nodes = append(b.nodes, lh.node)
-	if len(b.pkts) >= e.cfg.FlushBurst {
-		s.staged = nil
-		e.enqueue(s, b)
-	}
-	s.mu.Unlock()
-	return nil
+	return e.SubmitLeafBatch(lh, []packet.Packet{pkt})
 }
 
 // SubmitLeafBatch hands a whole burst for one tree node to its shard in a
-// single ring operation — the preferred node-addressed ingress. Semantics
-// match SubmitBatch: packets are copied into an engine-owned pooled
-// buffer, any pending coalesced burst flushes first for per-producer FIFO
-// order, and steady-state submission performs no allocation.
+// single ring operation — the node-addressed ingress. It shares
+// SubmitBatch's ring entry: the same overload priority gate (a leaf burst
+// is shed by its aggregate's shed class), the pooled copy, per-producer
+// FIFO order, and no allocation in steady state.
 func (e *Engine) SubmitLeafBatch(lh LeafHandle, pkts []packet.Packet) error {
 	agg, err := e.resolve(lh.h)
 	if err != nil {
 		return err
 	}
-	if len(pkts) == 0 {
-		return nil
-	}
-	b := e.getBurst()
-	b.agg = agg
-	b.node = lh.node
-	b.pkts = append(b.pkts, pkts...)
-	s := agg.shard
-	s.mu.Lock()
-	if st := s.staged; st != nil {
-		s.staged = nil
-		e.enqueue(s, st)
-	}
-	e.enqueue(s, b)
-	s.mu.Unlock()
+	e.submit(agg, lh.node, pkts)
 	return nil
 }
 

@@ -215,7 +215,7 @@ func (c *Conn) QueueTx(p []byte) bool {
 	return true
 }
 
-// QueuedTx reports how many datagrams are staged for FlushTx.
+// QueuedTx reports how many datagrams are queued for FlushTx.
 func (c *Conn) QueuedTx() int { return c.txN }
 
 // FlushTx transmits every queued datagram on the connected socket — one

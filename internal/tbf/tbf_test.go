@@ -180,18 +180,18 @@ func TestNonMonotonicTimeTolerated(t *testing.T) {
 // same packets as plain Submit.
 func TestProbeCommitEquivalence(t *testing.T) {
 	plain := MustNew(8*units.Mbps, 10*units.MSS)
-	staged := MustNew(8*units.Mbps, 10*units.MSS)
+	probed := MustNew(8*units.Mbps, 10*units.MSS)
 	now := time.Duration(0)
 	for i := 0; i < 3000; i++ {
 		now += 900 * time.Microsecond
 		p := pkt(units.MSS)
 		a := plain.Submit(now, p) == enforcer.Transmit
-		b := staged.Probe(now, p)
+		b := probed.Probe(now, p)
 		if b {
-			staged.Commit(now, p)
+			probed.Commit(now, p)
 		}
 		if a != b {
-			t.Fatalf("packet %d: plain=%v staged=%v", i, a, b)
+			t.Fatalf("packet %d: plain=%v probed=%v", i, a, b)
 		}
 	}
 }

@@ -12,15 +12,16 @@ import (
 // rate-limiting middlebox. The datapath is burst-oriented and handle-based:
 // aggregates resolve to an AggregateHandle once at Add time, submissions
 // are lock-free reads of an atomically swapped registry snapshot, and
-// single-packet Submits coalesce into per-shard bursts flushed on a
-// size-or-deadline trigger. Aggregates are hashed across single-goroutine
-// shards so enforcers stay lock-free on the datapath; a full shard sheds
-// bursts rather than blocking.
+// every shard ring slot carries one aggregate's burst: SubmitBatch hands
+// over a whole burst, and a single-packet Submit is a one-packet burst.
+// Aggregates are hashed across single-goroutine shards so enforcers stay
+// lock-free on the datapath; a full shard sheds bursts rather than
+// blocking.
 type Middlebox = mbox.Engine
 
-// MiddleboxConfig configures NewMiddlebox, including the burst coalescing
-// parameters FlushBurst (size trigger, default 32) and FlushInterval
-// (deadline trigger, default 500µs).
+// MiddleboxConfig configures NewMiddlebox: shard count, ring depth in
+// bursts, clocks, fault handling, lifecycle, observability and the
+// overload plane.
 type MiddleboxConfig = mbox.Config
 
 // AggregateHandle identifies a registered aggregate on the middlebox
